@@ -10,6 +10,7 @@ trivial.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .liealg import (
     matrix_as_two_form,
     require_valid,
     trivial_rep,
+    two_form_derive,
     coboundary_matrix,
 )
 from .oxidation import OxidationData, symplectic_oxidation
@@ -157,8 +159,6 @@ def g8_oxidation_data() -> OxidationData:
     phi_rows[0][1] = Q(1)  # Y -> X
     phi_rows[3][4] = Q(1)  # Y' -> X'
     phi = Matrix.from_rows(phi_rows, 6)
-    from .liealg import two_form_derive
-
     alpha = two_form_derive(base, matrix_as_two_form(omega_bar), phi)
     lam = Cochain.zero(1, 6, 1)
     return OxidationData(base, phi, alpha, lam, omega_bar)
@@ -414,9 +414,7 @@ def find_symplectic_form(g: LieAlgebra) -> Matrix:
                 cand = as_matrix(v)
                 if cand.det() != 0:
                     return cand
-    import random as _random
-
-    rng = _random.Random(0)
+    rng = random.Random(0)
     for _ in range(500):
         v = [Q(0)] * len(pair_idx)
         for row in z2.rows:

@@ -25,21 +25,21 @@ from .exactla import (
     Subspace,
     Vec,
     charpoly,
+    combine,
     poly_eval_matrix,
     rational_roots,
     rational_sqrt,
     solve_linear,
-    vunit,
-    vzero,
 )
 from .liealg import (
     LieAlgebra,
     ValidationError,
     bracket_span,
     center,
+    centralizer,
     subspace_algebra_flags,
 )
-from .symplectic import SymplecticLieAlgebra, isotropy_report
+from .symplectic import SymplecticLieAlgebra, isotropy_report, omega_orthogonal
 
 # ---------------------------------------------------------------------------
 # quadratic polynomials in named parameters
@@ -314,8 +314,6 @@ def verify_no_abelian_escape(s: SymplecticLieAlgebra, cert: EnvelopeCertificate)
 
 def abelian_envelope_candidate(g: LieAlgebra) -> Subspace | None:
     """The centralizer of the commutator ideal, when it is an abelian ideal."""
-    from .liealg import centralizer
-
     if g.dim == 0:
         return Subspace.zero(0)
     derived = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
@@ -340,16 +338,14 @@ class InvariantTrap:
     ideals: tuple[Subspace, ...]  # every ideal of g inside m
 
 
-def _restrict(op: Matrix, sub: Subspace, ambient_rows: tuple[Vec, ...]) -> Matrix | None:
+def _restrict(op: Matrix, sub: Subspace) -> Matrix | None:
     """Matrix of op on sub in its RREF basis; None if sub is not op-invariant."""
-    basis = Matrix(sub.rows, len(sub.rows[0])).transpose() if sub.rows else None
     cols = []
     for r in sub.rows:
-        img = op.matvec(r)
-        res = solve_linear(basis, img)
-        if res.particular is None:
+        c = sub.coordinates_of(op.matvec(r))
+        if c is None:
             return None
-        cols.append(res.particular)
+        cols.append(c)
     return Matrix(tuple(cols), sub.dim).transpose() if sub.dim else Matrix((), 0)
 
 
@@ -403,15 +399,8 @@ def _split_by_operator(sub: Subspace, op_on_sub: Matrix) -> list[Subspace] | Non
 
 
 def _to_ambient(sub_coords: Subspace, parent: Subspace) -> Subspace:
-    vecs = []
-    for r in sub_coords.rows:
-        v = list(vzero(parent.ambient))
-        for c, row in zip(r, parent.rows):
-            if c != 0:
-                for t, x in enumerate(row):
-                    v[t] += c * x
-        vecs.append(tuple(v))
-    return Subspace.span(parent.ambient, vecs)
+    return Subspace.span(parent.ambient,
+                         [combine(r, parent.rows, parent.ambient) for r in sub_coords.rows])
 
 
 def _component_irreducible(comp_dim: int, restricted_ops: list[Matrix]) -> bool:
@@ -436,7 +425,7 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
     ops: list[Matrix] = []
     for i in range(g.dim):
         op = g.ad(g.basis_vector(i))
-        rop = _restrict(op, m, m.rows)
+        rop = _restrict(op, m)
         if rop is None or rop.is_zero():
             continue
         if all(rop.mul(o).sub(o.mul(rop)).is_zero() for o in ops):
@@ -446,7 +435,7 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
     for op in ops:
         new_comps: list[Subspace] = []
         for comp in comps:
-            rop = _restrict(op, comp, comp.rows) if comp.dim else None
+            rop = _restrict(op, comp) if comp.dim else None
             if comp.dim == 0:
                 continue
             if rop is None:
@@ -461,7 +450,7 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
     for comp in comps:
         rops = []
         for op in ops:
-            rop = _restrict(op, comp, comp.rows)
+            rop = _restrict(op, comp)
             if rop is not None:
                 rops.append(rop)
         if not _component_irreducible(comp.dim, rops):
@@ -506,8 +495,6 @@ def irreducible_structure_certificate(
     fa = subspace_algebra_flags(g, a)
     if a.dim == 0 or not (fa.is_ideal and fa.is_abelian):
         return None
-    from .symplectic import omega_orthogonal
-
     h = omega_orthogonal(s, a)
     fh = subspace_algebra_flags(g, h)
     if not (fh.is_subalgebra and fh.is_abelian):
@@ -520,7 +507,7 @@ def irreducible_structure_certificate(
     h_ops = [g.ad(hb) for hb in h.rows]
     rops = []
     for op in h_ops:
-        rop = _restrict(op, a, a.rows)
+        rop = _restrict(op, a)
         if rop is None:
             return None
         rops.append(rop)
@@ -536,7 +523,7 @@ def irreducible_structure_certificate(
     for op in splitters:
         new_comps = []
         for comp in comps:
-            rop = _restrict(op, comp, comp.rows)
+            rop = _restrict(op, comp)
             if rop is None:
                 return None
             split = _split_by_operator(comp, rop)
@@ -553,7 +540,7 @@ def irreducible_structure_certificate(
         jmat = None
         lam = []
         for rop in rops:
-            m2 = _restrict(rop, comp, comp.rows)
+            m2 = _restrict(rop, comp)
             if m2 is None:
                 return None
             sq = m2.mul(m2)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as cat
-from .exactla import Matrix, Q, Subspace, Vec, q
+from .exactla import Matrix, Q, Subspace, Vec
 from .lagext import (
     ExtensionTriple,
     FlatLieAlgebra,
-    extension_triple,
     lagrangian_cohomology,
     lagrangian_extension,
 )
@@ -40,9 +39,11 @@ from .liealg import (
     combos,
     descending_central_series,
     derived_series,
+    matrix_as_two_form,
     nilpotency_class,
     solvability_degree,
     trivial_rep,
+    two_form_derive,
     validate_jacobi,
 )
 from .oxidation import OxidationData, symplectic_oxidation
@@ -479,8 +480,6 @@ def _cmd_oxidize(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     phi = _parse_matrix_flag(opts["phi"], g.dim)
     lam_vec = _parse_vector_flag(opts["lam"], g.dim) if opts.get("lam") \
         else tuple(Q(0) for _ in range(g.dim))
-    from .liealg import matrix_as_two_form, two_form_derive
-
     alpha = two_form_derive(g, matrix_as_two_form(parsed.symplectic.omega), phi)
     lam = Cochain.from_values(1, g.dim, 1, {(i,): (lam_vec[i],) for i in range(g.dim)}) \
         if g.dim else Cochain.zero(1, 0, 1)

@@ -14,13 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exactla import (
     Matrix,
     Q,
     Subspace,
-    Vec,
     bilinear,
+    combine,
+    coordinates,
+    extend_basis,
     orthogonal_complement,
     rational_sqrt,
     vec,
@@ -146,8 +149,17 @@ def nilpotency_index(phi: Matrix) -> int | None:
     return 0 if n == 0 else (n if power.is_zero() else None)
 
 
-def extend_to_maximal_isotropic(space: SymplecticVectorSpace, seed: Subspace) -> Subspace:
-    """Deterministic greedy extension of an isotropic subspace to maximal size."""
+def extend_to_maximal_isotropic(
+    space: SymplecticVectorSpace,
+    seed: Subspace,
+    accept: Callable[[Subspace], bool] | None = None,
+) -> Subspace:
+    """Deterministic greedy extension of an isotropic subspace to maximal size.
+
+    Each step adds the first row of current^perp outside current, skipping
+    extensions that accept rejects; every extension stays isotropic because
+    the row lies in current^perp and omega is alternating.
+    """
     current = seed
     target = space.max_isotropic_dim()
     while current.dim < target:
@@ -155,9 +167,11 @@ def extend_to_maximal_isotropic(space: SymplecticVectorSpace, seed: Subspace) ->
         grew = False
         for row in perp.rows:
             if not current.contains_vector(row):
-                current = current.sum(Subspace.span(space.dim, [row]))
-                grew = True
-                break
+                cand = current.sum(Subspace.span(space.dim, [row]))
+                if accept is None or accept(cand):
+                    current = cand
+                    grew = True
+                    break
         if not grew:
             break
     return current
@@ -194,37 +208,21 @@ def _invariant_lagrangian_rec(space: SymplecticVectorSpace, phi: Matrix) -> Subs
     z = image.rows[0]
     zperp = orthogonal_complement(space.omega, Subspace.span(n, [z]))
     # independent completion of <z> to a basis of zperp
-    current = Subspace.span(n, [z])
-    quotient_basis: list[Vec] = []
-    for r in zperp.rows:
-        if not current.contains_vector(r):
-            quotient_basis.append(r)
-            current = current.sum(Subspace.span(n, [r]))
-    lift = Matrix(tuple([z] + quotient_basis), n).transpose()
+    quotient_basis = extend_basis(Subspace.span(n, [z]), zperp.rows)
     m = len(quotient_basis)
-    from .exactla import solve_linear
-
-    def project(v: Vec) -> Vec:
-        res = solve_linear(lift, v)
-        assert res.particular is not None, "vector escaped the orthogonal of Z"
-        return res.particular[1:]
-
+    phi_cols = []
+    for qb in quotient_basis:
+        c = coordinates([z] + quotient_basis, phi.matvec(qb))
+        if c is None:
+            raise ValidationError("phi moved a vector out of the orthogonal of Z")
+        phi_cols.append(c[1:])
     omega_q = Matrix.from_rows(
         [[space.pair(quotient_basis[a], quotient_basis[b]) for b in range(m)]
          for a in range(m)], m
     ) if m else Matrix((), 0)
-    phi_q = Matrix(tuple(project(phi.matvec(qb)) for qb in quotient_basis), m).transpose() \
-        if m else Matrix((), 0)
+    phi_q = Matrix(tuple(phi_cols), m).transpose() if m else Matrix((), 0)
     sub = _invariant_lagrangian_rec(SymplecticVectorSpace(m, omega_q), phi_q)
-    lifted = [z]
-    for r in sub.rows:
-        v = list(vzero(n))
-        for c, qb in zip(r, quotient_basis):
-            if c != 0:
-                for t, x in enumerate(qb):
-                    v[t] += c * x
-        lifted.append(tuple(v))
-    return Subspace.span(n, lifted)
+    return Subspace.span(n, [z] + [combine(r, quotient_basis, n) for r in sub.rows])
 
 
 def _check_invariant_maximal_isotropic(space: SymplecticVectorSpace, phi: Matrix, sub: Subspace):

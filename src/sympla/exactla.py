@@ -7,7 +7,6 @@ reduced row-echelon form so that equal subspaces compare equal as tuples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -325,13 +324,6 @@ class Subspace:
             return None
         return tuple(coeffs)
 
-    def complement_coordinate_basis(self) -> tuple[Vec, ...]:
-        """Standard basis vectors of the non-pivot coordinates."""
-        pivot_set = set(self.pivots)
-        return tuple(
-            vunit(self.ambient, j) for j in range(self.ambient) if j not in pivot_set
-        )
-
 
 def rref_basis(vectors: Matrix | Sequence[Iterable], ambient: int | None = None) -> Subspace:
     """Canonical subspace spanned by the given row vectors."""
@@ -387,24 +379,43 @@ def solve_linear(a: Matrix, rhs: Iterable) -> SolveResult:
     return SolveResult(tuple(x), kernel)
 
 
-def solve_matrix(a: Matrix, rhs: Matrix) -> Matrix | None:
-    """Solve a X = rhs column by column; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.cols):
-        res = solve_linear(a, rhs.col(j))
-        if res.particular is None:
-            return None
-        cols.append(res.particular)
-    return Matrix(tuple(cols), a.cols).transpose()
+def coordinates(rows: Sequence[Vec], v: Iterable) -> Vec | None:
+    """Coefficients c with sum c_i rows_i = v, or None if v is outside the span.
+
+    The rows must be linearly independent; one elimination of [rows^T | v].
+    """
+    w = vec(v)
+    k = len(rows)
+    if any(len(r) != len(w) for r in rows):
+        raise DimensionMismatch("vector does not match the row length")
+    work = [[r[t] for r in rows] + [w[t]] for t in range(len(w))]
+    red, pivots = _rref(work, k + 1)
+    if sum(1 for p in pivots if p < k) < k:
+        raise DimensionMismatch("coordinate rows are linearly dependent")
+    if k in pivots:
+        return None
+    return tuple(red[r][k] for r in range(k))
 
 
-def invert(a: Matrix) -> Matrix:
-    if not a.is_square():
-        raise DimensionMismatch("inverse of a non-square matrix")
-    inv = solve_matrix(a, Matrix.identity(a.nrows))
-    if inv is None or a.mul(inv).rows != Matrix.identity(a.nrows).rows:
-        raise ValueError("matrix is singular")
-    return inv
+def combine(coeffs: Iterable[Fraction], rows: Sequence[Vec], ambient: int) -> Vec:
+    """The linear combination sum c_i rows_i in Q^ambient."""
+    out = list(vzero(ambient))
+    for c, r in zip(coeffs, rows, strict=True):
+        if c != 0:
+            for t, x in enumerate(r):
+                out[t] += c * x
+    return tuple(out)
+
+
+def extend_basis(sub: Subspace, candidates: Iterable[Vec]) -> list[Vec]:
+    """The candidates, in order, that are independent of sub and of those taken."""
+    out = []
+    current = sub
+    for v in candidates:
+        if not current.contains_vector(v):
+            out.append(v)
+            current = current.sum(Subspace.span(sub.ambient, [v]))
+    return out
 
 
 def bilinear(form: Matrix, u: Vec, v: Vec) -> Fraction:
@@ -420,12 +431,6 @@ def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:
     rows = tuple(form.matvec(x) for x in w.rows)  # v . (F x) = 0
     ker = Matrix(rows, w.ambient).kernel_basis()
     return Subspace.span(w.ambient, ker)
-
-
-def gram_matrix(form: Matrix, basis: Sequence[Vec]) -> Matrix:
-    return Matrix.from_rows(
-        [[bilinear(form, u, v) for v in basis] for u in basis], len(basis)
-    ) if basis else Matrix((), 0)
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:
@@ -540,17 +545,3 @@ def _isqrt(n: int) -> int | None:
         else:
             hi = mid - 1
     return None
-
-
-def minor_rank(a: Matrix) -> int:
-    """Rank via nonzero minors; exponential, used as an independent test oracle."""
-    n = min(a.nrows, a.cols)
-    for k in range(n, 0, -1):
-        for rows in itertools.combinations(range(a.nrows), k):
-            for cols in itertools.combinations(range(a.cols), k):
-                sub = Matrix.from_rows(
-                    [[a.rows[i][j] for j in cols] for i in rows], k
-                )
-                if sub.det() != 0:
-                    return k
-    return 0

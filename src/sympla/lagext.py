@@ -23,9 +23,11 @@ from .exactla import (
     Q,
     Subspace,
     Vec,
+    combine,
+    coordinates,
     solve_linear,
     vec,
-    vzero,
+    vunit,
 )
 from .liealg import (
     Cochain,
@@ -33,7 +35,7 @@ from .liealg import (
     LieAlgebra,
     Representation,
     ValidationError,
-    bracket_span,
+    coboundary_apply,
     coboundary_matrix,
     combos,
     combo_index,
@@ -42,11 +44,12 @@ from .liealg import (
     is_torsion_free,
     subspace_algebra_flags,
     torsion,
-    validate_jacobi,
+    trivial_rep,
 )
 from .symplectic import (
     SymplecticError,
     SymplecticLieAlgebra,
+    induced_connection,
     isotropy_report,
     validate_symplectic,
 )
@@ -150,8 +153,6 @@ def lagrangian_extension(triple: ExtensionTriple) -> StronglyPolarized:
     h = flat.algebra
     n = h.dim
     rho = dual_rep(flat)
-    from .liealg import coboundary_apply
-
     if not coboundary_apply(rho, triple.alpha).is_zero():
         raise ValidationError("alpha is not a cocycle for the dual representation")
     bad = [(t, v) for t, v in cyclic_sum_values(h, triple.alpha).items() if v != 0]
@@ -181,8 +182,8 @@ def lagrangian_extension(triple: ExtensionTriple) -> StronglyPolarized:
         rows[i][n + i] = Q(-1)
     omega = Matrix.from_rows(rows, 2 * n)
     s = validate_symplectic(g, omega)
-    ideal = Subspace.span(2 * n, [_unit(2 * n, n + i) for i in range(n)])
-    comp = Subspace.span(2 * n, [_unit(2 * n, i) for i in range(n)])
+    ideal = Subspace.span(2 * n, [vunit(2 * n, n + i) for i in range(n)])
+    comp = Subspace.span(2 * n, [vunit(2 * n, i) for i in range(n)])
     polarized = StronglyPolarized(s, ideal, comp)
     _check_quotient_connection(polarized, flat)
     return polarized
@@ -194,18 +195,9 @@ def _check_quotient_connection(p: StronglyPolarized, flat: FlatLieAlgebra):
     The quotient connection is solved on the complement classes from
     omega_h(nabla_u v, a) = -omega(v~, [u~, a]).
     """
-    s, g = p.s, p.s.algebra
-    n = flat.dim
-    n_rows, a_rows = p.complement.rows, p.ideal.rows
-    gram = Matrix.from_rows([[s.pair(nr, ar) for ar in a_rows] for nr in n_rows], n)
-    gram_t = gram.transpose()
-    for i in range(n):
-        for j in range(n):
-            rhs = tuple(-s.pair(n_rows[j], g.bracket(n_rows[i], a)) for a in a_rows)
-            res = solve_linear(gram_t, rhs)
-            assert res.particular is not None
-            if res.particular != flat.connection.mats[i].col(j):
-                raise ValidationError("quotient connection differs from the input")
+    _, conn = induced_connection(p.s, flat.algebra, p.complement.rows, p.ideal.rows)
+    if conn.mats != flat.connection.mats:
+        raise ValidationError("quotient connection differs from the input")
 
 
 def extension_triple(p: StronglyPolarized) -> ExtensionTriple:
@@ -213,45 +205,20 @@ def extension_triple(p: StronglyPolarized) -> ExtensionTriple:
     s = p.s
     g = s.algebra
     n = p.complement.dim
-    n_rows = p.complement.rows
-    a_rows = p.ideal.rows
-    gram = Matrix.from_rows(
-        [[s.pair(nr, ar) for ar in a_rows] for nr in n_rows], n
-    )
-    gram_t = gram.transpose()
-    # quotient algebra on complement classes
-    basis = Matrix(n_rows + a_rows, g.dim).transpose()
-
-    def coords(v: Vec) -> Vec:
-        res = solve_linear(basis, v)
-        assert res.particular is not None
-        return res.particular
-
+    n_rows, a_rows = p.complement.rows, p.ideal.rows
+    # quotient algebra on complement classes; the ideal part of [u~, v~] gives
+    # alpha = iota_omega of the a-valued cocycle: alpha(u,v)(w) = omega(a, w~)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    alpha_tilde: dict[tuple[int, int], Vec] = {}
+    values: dict[tuple[int, int], Vec] = {}
     for i, j in combos(n, 2):
-        c = coords(g.bracket(n_rows[i], n_rows[j]))
+        c = _push(p, g.bracket(n_rows[i], n_rows[j]))
         entry = {k: c[k] for k in range(n) if c[k] != 0}
         if entry:
             brackets[(i, j)] = entry
-        alpha_tilde[(i, j)] = c[n:]
+        values[(i, j)] = c[n:]
     h = LieAlgebra.from_brackets(tuple(f"h{i+1}" for i in range(n)), brackets)
     # nabla from omega_h(nabla_u v, a) = -omega(v~, [u~, a])
-    mats = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            rhs = tuple(-s.pair(n_rows[j], g.bracket(n_rows[i], a)) for a in a_rows)
-            res = solve_linear(gram_t, rhs)
-            assert res.particular is not None
-            cols.append(res.particular)
-        mats.append(Matrix(tuple(cols), n).transpose())
-    flat = FlatLieAlgebra(h, Connection(h, tuple(mats)))
-    # alpha = iota_omega of the a-valued cocycle: alpha(u,v)(w) = omega(a, w~)
-    values = {}
-    for (i, j), acoords in alpha_tilde.items():
-        avec = _combine(a_rows, acoords, g.dim)
-        values[(i, j)] = tuple(s.pair(avec, n_rows[w]) for w in range(n))
+    flat = FlatLieAlgebra(h, induced_connection(s, h, n_rows, a_rows)[1])
     alpha = Cochain.from_values(2, n, n, values)
     triple = ExtensionTriple(flat, alpha)
     _check_polarization_isomorphism(p, triple)
@@ -262,44 +229,27 @@ def _check_polarization_isomorphism(p: StronglyPolarized, triple: ExtensionTripl
     """Verify pi_h + iota_omega maps p isomorphically onto the rebuilt extension."""
     rebuilt = lagrangian_extension(triple)
     s, g = p.s, p.s.algebra
-    n = triple.flat.dim
-    n_rows, a_rows = p.complement.rows, p.ideal.rows
-    basis = Matrix(n_rows + a_rows, g.dim).transpose()
-
-    def push(v: Vec) -> Vec:
-        res = solve_linear(basis, v)
-        assert res.particular is not None
-        c = res.particular
-        out = list(c[:n]) + list(vzero(n))
-        for t in range(n):
-            if c[n + t] != 0:
-                avec = a_rows[t]
-                for w in range(n):
-                    out[n + w] += c[n + t] * s.pair(avec, n_rows[w])
-        return tuple(out)
-
-    mixed = list(n_rows) + list(a_rows)
+    mixed = list(p.complement.rows) + list(p.ideal.rows)
     for x, y in itertools.combinations(mixed, 2):
-        lhs = push(g.bracket(x, y))
-        rhs = rebuilt.s.algebra.bracket(push(x), push(y))
+        lhs = _push(p, g.bracket(x, y))
+        rhs = rebuilt.s.algebra.bracket(_push(p, x), _push(p, y))
         if lhs != rhs:
             raise ValidationError("extension triple does not reproduce the bracket")
     for x, y in itertools.combinations(mixed, 2):
-        if s.pair(x, y) != rebuilt.s.pair(push(x), push(y)):
+        if s.pair(x, y) != rebuilt.s.pair(_push(p, x), _push(p, y)):
             raise ValidationError("extension triple does not reproduce the form")
 
 
-def _combine(rows, coeffs, ambient: int) -> Vec:
-    out = list(vzero(ambient))
-    for c, r in zip(coeffs, rows, strict=True):
-        if c != 0:
-            for t, x in enumerate(r):
-                out[t] += c * x
-    return tuple(out)
-
-
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Q(1) if t == i else Q(0) for t in range(n))
+def _push(p: StronglyPolarized, v: Vec) -> Vec:
+    """pi_h + iota_omega: complement coordinates of v, then omega(a, n_w) for
+    the ideal part a of v, as coordinates on h + h*."""
+    n_rows, a_rows = p.complement.rows, p.ideal.rows
+    c = coordinates(n_rows + a_rows, v)
+    if c is None:
+        raise ValidationError("polarization does not span the algebra")
+    n = len(n_rows)
+    avec = combine(c[n:], a_rows, p.s.dim)
+    return c[:n] + tuple(p.s.pair(avec, x) for x in n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +295,6 @@ def alternating_one_cochains(n: int) -> Subspace:
 
 def trivial_two_cocycles_as_one_cochains(h: LieAlgebra) -> Subspace:
     """Z^2(h) embedded in C^1(h, h*) as alternating bilinear forms."""
-    from .liealg import trivial_rep
-
     dmat = coboundary_matrix(trivial_rep(h), 2)
     z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
     n = h.dim
@@ -410,8 +358,6 @@ def cyclic_coboundary_identity_holds(flat: FlatLieAlgebra, lam_alt: Vec) -> bool
     n = h.dim
     rho = dual_rep(flat)
     lam = Cochain(1, n, n, tuple(lam_alt))
-    from .liealg import coboundary_apply, trivial_rep
-
     image = coboundary_apply(rho, lam)
     lam_form = Cochain.from_values(
         2, n, 1,
@@ -449,11 +395,7 @@ def extensions_isomorphic(
         res = None
     if res is None or res.particular is None:
         return False, None
-    sigma_flat = [Q(0)] * (n * n)
-    for c, r in zip(res.particular, sym.rows):
-        if c != 0:
-            for t, x in enumerate(r):
-                sigma_flat[t] += c * x
+    sigma_flat = combine(res.particular, sym.rows, n * n)
     # build the isomorphism F(h, nabla, alpha) -> F(h, nabla, alpha2)
     p1 = lagrangian_extension(ExtensionTriple(flat, alpha))
     p2 = lagrangian_extension(ExtensionTriple(flat, alpha2))
@@ -471,7 +413,7 @@ def extensions_isomorphic(
             rhs = g2.bracket(iso.col(i), iso.col(j))
             if lhs != rhs:
                 raise ValidationError("isomorphism failed to preserve the bracket")
-            if p1.s.pair(_unit(2 * n, i), _unit(2 * n, j)) != \
+            if p1.s.pair(vunit(2 * n, i), vunit(2 * n, j)) != \
                     p2.s.pair(iso.col(i), iso.col(j)):
                 raise ValidationError("isomorphism failed to preserve the form")
     return True, iso

@@ -19,7 +19,6 @@ from .exactla import (
     Vec,
     is_zero_vec,
     q,
-    solve_linear,
     vadd,
     vec,
     vscale,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Q, Subspace, Vec, vec
+from .exactla import Matrix, Q, Subspace, Vec, coordinates, solve_linear, vec, vunit
 from .liealg import (
     Cochain,
     LieAlgebra,
@@ -22,13 +22,12 @@ from .liealg import (
     combos,
     coboundary_apply,
     is_derivation,
-    jacobi_defect,
     matrix_as_two_form,
     trivial_rep,
-    two_form_as_matrix,
     two_form_derive,
     validate_jacobi,
 )
+from .reduction import reduce as reduce_step
 from .symplectic import SymplecticLieAlgebra, validate_symplectic
 
 
@@ -124,9 +123,6 @@ def symplectic_oxidation(data: OxidationData) -> SymplecticLieAlgebra:
 
 def _check_reduces_to_base(s: SymplecticLieAlgebra, data: OxidationData) -> None:
     """Reducing by the attached central line must return the base exactly."""
-    from .reduction import reduce as reduce_step
-    from .exactla import Subspace, vunit
-
     n = s.dim
     step = reduce_step(s, Subspace.span(n, [vunit(n, n - 1)]))
     if step.reduced.algebra.table != data.base.table \
@@ -154,8 +150,6 @@ def oxidation_obstruction(g: LieAlgebra, omega_bar: Matrix, phi: Matrix) -> Obst
     for i, j in combos(n, 2):
         rows.append(g.bracket_basis(i, j))
         rhs.append(beta.value_on_combo((i, j))[0])
-    from .exactla import solve_linear
-
     if rows:
         res = solve_linear(Matrix(tuple(rows), n), tuple(rhs))
         sol = res.particular
@@ -189,24 +183,16 @@ def recover_oxidation_data(
     xi = tuple(x / pairing for x in xi)
     n = g.dim
     constraints = Matrix((s.omega.matvec(xi), s.omega.matvec(h)), n)
-    w = Subspace.span(n, constraints.kernel_basis())
-    assert w.dim == n - 2
-    w_rows = w.rows
-    basis = Matrix((xi,) + w_rows + (h,), n).transpose()
-
-    def coords(v: Vec) -> Vec:
-        from .exactla import solve_linear
-
-        res = solve_linear(basis, v)
-        assert res.particular is not None
-        return res.particular
-
+    w_rows = Subspace.span(n, constraints.kernel_basis()).rows
     m = n - 2
+    if len(w_rows) != m:
+        raise ValidationError("omega(., xi) and omega(., H) must be independent")
+    basis = (xi,) + w_rows + (h,)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     alpha_vals: dict[tuple[int, ...], Vec] = {}
     for i, j in combos(m, 2):
-        c = coords(g.bracket(w_rows[i], w_rows[j]))
-        if c[0] != 0:
+        c = coordinates(basis, g.bracket(w_rows[i], w_rows[j]))
+        if c is None or c[0] != 0:
             raise ValidationError("[W, W] escapes the orthogonal of H")
         entry = {k: c[1 + k] for k in range(m) if c[1 + k] != 0}
         if entry:
@@ -216,13 +202,13 @@ def recover_oxidation_data(
     phi_cols = []
     lam_vals: dict[tuple[int, ...], Vec] = {}
     for j in range(m):
-        c = coords(g.bracket(xi, w_rows[j]))
-        if c[0] != 0:
+        c = coordinates(basis, g.bracket(xi, w_rows[j]))
+        if c is None or c[0] != 0:
             raise ValidationError("[xi, W] escapes the orthogonal of H")
         phi_cols.append(c[1: 1 + m])
         lam_vals[(j,)] = (c[m + 1],)
-        # cross-check the pairing formula for lam
-        assert c[m + 1] == s.pair(xi, g.bracket(xi, w_rows[j]))
+        if c[m + 1] != s.pair(xi, g.bracket(xi, w_rows[j])):
+            raise ValidationError("lam disagrees with its pairing formula")
     phi = Matrix(tuple(phi_cols), m).transpose()
     alpha = Cochain.from_values(2, m, 1, alpha_vals)
     lam = Cochain.from_values(1, m, 1, lam_vals)

@@ -18,9 +18,10 @@ from .exactla import (
     Q,
     Subspace,
     Vec,
-    solve_linear,
+    combine,
+    coordinates,
     vec,
-    vzero,
+    vunit,
 )
 from .liealg import (
     Cochain,
@@ -43,6 +44,8 @@ from .symplectic import (
     IsotropicDecomposition,
     SymplecticError,
     SymplecticLieAlgebra,
+    dual_rows,
+    induced_connection,
     isotropic_decomposition,
     isotropy_report,
     omega_orthogonal,
@@ -64,22 +67,14 @@ class ReductionStep:
 
     def lift_vector(self, bar_v: Iterable) -> Vec:
         """Representative in the parent of a reduced-coordinates vector."""
-        bar_v = vec(bar_v)
-        out = list(vzero(self.parent.dim))
-        for c, w in zip(bar_v, self.w_rows, strict=True):
-            if c != 0:
-                for t, x in enumerate(w):
-                    out[t] += c * x
-        return tuple(out)
+        return combine(vec(bar_v), self.w_rows, self.parent.dim)
 
     def project_vector(self, v: Iterable) -> Vec:
         """Class of a vector of j^perp in the reduced coordinates (W basis)."""
-        v = vec(v)
-        basis = Matrix(self.w_rows + self.decomposition.j_rows, self.parent.dim)
-        res = solve_linear(basis.transpose(), v)
-        if res.particular is None:
+        c = coordinates(self.w_rows + self.decomposition.j_rows, v)
+        if c is None:
             raise ValidationError("vector is not in the orthogonal of the ideal")
-        return res.particular[: len(self.w_rows)]
+        return c[: len(self.w_rows)]
 
     def lift_subspace(self, sub: Subspace, include_ideal: bool = True) -> Subspace:
         vecs = [self.lift_vector(r) for r in sub.rows]
@@ -121,9 +116,10 @@ def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(m):
         for b in range(a + 1, m):
-            img = g.bracket(w_rows[a], w_rows[b])
-            coords = _decompose(img, w_rows, dec.j_rows, g.dim)
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            coords = coordinates(w_rows + dec.j_rows, g.bracket(w_rows[a], w_rows[b]))
+            if coords is None:
+                raise ValidationError("bracket escaped the orthogonal of the ideal")
+            entry = {k: c for k, c in enumerate(coords[:m]) if c != 0}
             if entry:
                 brackets[(a, b)] = entry
     labels = tuple(f"r{i+1}" for i in range(m))
@@ -133,15 +129,6 @@ def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
     ) if m else Matrix((), 0)
     reduced = validate_symplectic(reduced_alg, omega_bar)
     return ReductionStep(s, j, classify_ideal(s, j), reduced, dec)
-
-
-def _decompose(v: Vec, w_rows: Sequence[Vec], j_rows: Sequence[Vec], ambient: int) -> Vec:
-    """Coefficients of v over the W basis, requiring v in span(W) + span(j)."""
-    basis = Matrix(tuple(w_rows) + tuple(j_rows), ambient)
-    res = solve_linear(basis.transpose(), v)
-    if res.particular is None:
-        raise ValidationError("bracket escaped the orthogonal of the ideal")
-    return res.particular[: len(w_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,42 +178,24 @@ def quotient_flat_structure(s: SymplecticLieAlgebra, j: Subspace) -> FlatQuotien
     perp = omega_orthogonal(s, j)
     if not bracket_span(g, perp, j).is_zero():
         raise ValidationError("normal ideal criterion [j^perp, j] = 0 fails")
-    k = j.dim
-    a_rows = j.rows
-    pairing_rows = Matrix(tuple(s.omega.matvec(a) for a in a_rows), g.dim) \
-        if k else Matrix((), g.dim)
-    n_rows = []
-    for i in range(k):
-        rhs = tuple(Q(1) if l == i else Q(0) for l in range(k))
-        res = solve_linear(pairing_rows, rhs)
-        assert res.particular is not None, "omega must pair j with a transversal"
-        n_rows.append(res.particular)
-    n_rows = tuple(n_rows)
-    basis = Matrix(n_rows + perp.rows, g.dim).transpose()
+    return _flat_quotient(s, dual_rows(s, j.rows), j.rows, perp.rows)
+
+
+def _flat_quotient(s: SymplecticLieAlgebra, n_rows: tuple[Vec, ...],
+                   a_rows: tuple[Vec, ...], perp_rows: tuple[Vec, ...]) -> FlatQuotient:
+    """h on the classes of n_rows modulo span(perp_rows) = j^perp, paired with a_rows."""
+    g = s.algebra
+    k = len(n_rows)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            res = solve_linear(basis, g.bracket(n_rows[a], n_rows[b]))
-            assert res.particular is not None
-            entry = {t: c for t, c in enumerate(res.particular[:k]) if c != 0}
-            if entry:
-                brackets[(a, b)] = entry
+    for a, b in combos(k, 2):
+        c = coordinates(n_rows + perp_rows, g.bracket(n_rows[a], n_rows[b]))
+        if c is None:
+            raise ValidationError("transversal and orthogonal do not span the algebra")
+        entry = {t: x for t, x in enumerate(c[:k]) if x != 0}
+        if entry:
+            brackets[(a, b)] = entry
     h = LieAlgebra.from_brackets(tuple(f"h{i+1}" for i in range(k)), brackets)
-    omega_h = Matrix.from_rows(
-        [[s.pair(n_rows[a], a_rows[b]) for b in range(k)] for a in range(k)], k
-    ) if k else Matrix((), 0)
-    omega_h_t = omega_h.transpose()
-    mats = []
-    for a in range(k):
-        cols = []
-        for b in range(k):
-            rhs = tuple(-s.pair(n_rows[b], g.bracket(n_rows[a], a_rows[t]))
-                        for t in range(k))
-            res = solve_linear(omega_h_t, rhs)
-            assert res.particular is not None
-            cols.append(res.particular)
-        mats.append(Matrix(tuple(cols), k).transpose())
-    nabla_bar = Connection(h, tuple(mats))
+    omega_h, nabla_bar = induced_connection(s, h, n_rows, a_rows)
     if not (is_flat(nabla_bar) and is_torsion_free(nabla_bar)):
         raise ValidationError("induced quotient connection failed to be flat")
     _check_omega_h_cocycle(s, g, n_rows, a_rows, omega_h, h)
@@ -247,76 +216,33 @@ def normal_reduction_data(
     n_rows, w_rows, j_rows = dec.n_rows, dec.w.rows, dec.j_rows
     k, m = len(n_rows), len(w_rows)
 
-    # quotient algebra h on the N classes
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    mu_values: dict[tuple[int, ...], Vec] = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            img = g.bracket(n_rows[a], n_rows[b])
-            coords = _full_decompose(img, n_rows, w_rows, j_rows, g.dim)
-            n_part, w_part = coords[:k], coords[k: k + m]
-            entry = {t: c for t, c in enumerate(n_part) if c != 0}
-            if entry:
-                brackets[(a, b)] = entry
-            mu_values[(a, b)] = w_part
-    h = LieAlgebra.from_brackets(tuple(f"h{i+1}" for i in range(k)), brackets)
+    quotient = _flat_quotient(s, n_rows, j_rows, w_rows + j_rows)
+    mu_values = {(a, b): dec.split(g.bracket(n_rows[a], n_rows[b]))[1]
+                 for a, b in combos(k, 2)}
     mu = Cochain.from_values(2, k, m, mu_values)
-
-    omega_h = Matrix.from_rows(
-        [[s.pair(n_rows[a], j_rows[b]) for b in range(k)] for a in range(k)], k
-    ) if k else Matrix((), 0)
-
-    # induced connection: omega_h(nabla_u v, a) = -omega(v, [u, a])
-    omega_h_t = omega_h.transpose()
-    mats = []
-    for a in range(k):
-        cols = []
-        for b in range(k):
-            rhs = tuple(-s.pair(n_rows[b], g.bracket(n_rows[a], j_rows[t])) for t in range(k))
-            res = solve_linear(omega_h_t, rhs)
-            assert res.particular is not None, "omega_h must be non-degenerate"
-            cols.append(res.particular)
-        mats.append(Matrix(tuple(cols), k).transpose())
-    nabla_bar = Connection(h, tuple(mats))
-    if not (is_flat(nabla_bar) and is_torsion_free(nabla_bar)):
-        raise ValidationError("induced quotient connection failed to be flat")
-    _check_omega_h_cocycle(s, g, n_rows, j_rows, omega_h, h)
-
     # representing derivations, lambda and alpha
     phi_mats = []
     lam_mats = []
     for r in range(k):
         cols_w, cols_j = [], []
         for b in range(m):
-            img = g.bracket(n_rows[r], w_rows[b])
-            coords = _full_decompose(img, n_rows, w_rows, j_rows, g.dim)
-            if any(c != 0 for c in coords[:k]):
+            n_part, w_part, j_part = dec.split(g.bracket(n_rows[r], w_rows[b]))
+            if any(c != 0 for c in n_part):
                 raise ValidationError("[N, W] escaped j^perp; ideal is not normal")
-            cols_w.append(coords[k: k + m])
-            cols_j.append(coords[k + m:])
+            cols_w.append(w_part)
+            cols_j.append(j_part)
         phi_mats.append(Matrix(tuple(cols_w), m).transpose())
         lam_mats.append(Matrix(tuple(cols_j), k).transpose() if k else Matrix((), 0))
-    alpha_values: dict[tuple[int, ...], Vec] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            img = g.bracket(w_rows[a], w_rows[b])
-            coords = _full_decompose(img, n_rows, w_rows, j_rows, g.dim)
-            alpha_values[(a, b)] = coords[k + m:]
+    alpha_values = {(a, b): dec.split(g.bracket(w_rows[a], w_rows[b]))[2]
+                    for a, b in combos(m, 2)}
     alpha = Cochain.from_values(2, m, k, alpha_values)
 
-    data = NormalReductionData(step, h, nabla_bar, omega_h,
+    data = NormalReductionData(step, quotient.h, quotient.nabla_bar, quotient.omega_h,
                                tuple(phi_mats), alpha, tuple(lam_mats), mu)
     _check_cocycle_relations(s, data)
     if classify_ideal(s, j) in ("central", "lagrangian") and center(g).contains(j):
         _check_central_conditions(s, data)
     return data
-
-
-def _full_decompose(v: Vec, n_rows, w_rows, j_rows, ambient: int) -> Vec:
-    basis = Matrix(tuple(n_rows) + tuple(w_rows) + tuple(j_rows), ambient)
-    res = solve_linear(basis.transpose(), v)
-    assert res.particular is not None, "decomposition basis must span"
-    return res.particular
 
 
 def _check_omega_h_cocycle(s, g, n_rows, j_rows, omega_h, h):
@@ -342,17 +268,17 @@ def _check_cocycle_relations(s: SymplecticLieAlgebra, data: NormalReductionData)
             aval = data.alpha.value_on_combo((u, v))
             for r in range(k):
                 lhs = sum((data.omega_h.rows[r][t] * aval[t] for t in range(k)), Q(0))
-                rhs = red.pair(data.phi[r].matvec(_unit(m, u)), _unit(m, v)) \
-                    + red.pair(_unit(m, u), data.phi[r].matvec(_unit(m, v)))
+                rhs = red.pair(data.phi[r].matvec(vunit(m, u)), vunit(m, v)) \
+                    + red.pair(vunit(m, u), data.phi[r].matvec(vunit(m, v)))
                 if lhs != rhs:
                     raise ValidationError("alpha/phi compatibility identity failed")
     for a in range(k):
         for b in range(a + 1, k):
             muval = data.mu.value_on_combo((a, b))
             for u in range(m):
-                lhs = red.pair(muval, _unit(m, u))
-                lam_a = data.lam[a].matvec(_unit(m, u))
-                lam_b = data.lam[b].matvec(_unit(m, u))
+                lhs = red.pair(muval, vunit(m, u))
+                lam_a = data.lam[a].matvec(vunit(m, u))
+                lam_b = data.lam[b].matvec(vunit(m, u))
                 rhs = _pair_h(data.omega_h, a, lam_b) - _pair_h(data.omega_h, b, lam_a)
                 if lhs != rhs:
                     raise ValidationError("mu/lambda compatibility identity failed")
@@ -366,7 +292,7 @@ def _check_central_conditions(s: SymplecticLieAlgebra, data: NormalReductionData
         for b in range(k):
             for u in range(m):
                 for v in range(m):
-                    eu, ev = _unit(m, u), _unit(m, v)
+                    eu, ev = vunit(m, u), vunit(m, v)
                     quad = red.pair(data.phi[a].matvec(data.phi[b].matvec(eu)), ev) \
                         + red.pair(data.phi[b].matvec(eu), data.phi[a].matvec(ev)) \
                         + red.pair(data.phi[a].matvec(eu), data.phi[b].matvec(ev)) \
@@ -380,10 +306,6 @@ def _check_central_conditions(s: SymplecticLieAlgebra, data: NormalReductionData
 
 def _pair_h(omega_h: Matrix, r: int, j_coords: Vec) -> Fraction:
     return sum((omega_h.rows[r][t] * j_coords[t] for t in range(len(j_coords))), Q(0))
-
-
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Q(1) if t == i else Q(0) for t in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .certificates import (
     EnvelopeCertificate,
     InvariantTrap,
     IrreducibleStructureCertificate,
-    abelian_envelope_candidate,
     build_envelope_certificate,
     invariant_ideal_trap,
     irreducible_structure_certificate,
@@ -26,10 +25,23 @@ from .certificates import (
 )
 from .endoalg import (
     SymplecticVectorSpace,
+    extend_to_maximal_isotropic,
     invariant_lagrangian_nilpotent,
     nilpotency_index,
+    quadratic_forms,
 )
-from .exactla import Matrix, Q, Subspace, Vec, vunit, vzero
+from .exactla import (
+    Matrix,
+    Q,
+    Subspace,
+    Vec,
+    combine,
+    coordinates,
+    extend_basis,
+    rational_sqrt,
+    solve_linear,
+    vunit,
+)
 from .liealg import (
     LieAlgebra,
     ValidationError,
@@ -38,13 +50,14 @@ from .liealg import (
     center,
     descending_central_series,
     derived_series,
+    killing_radical,
     nilpotency_class,
     subspace_algebra_flags,
 )
+from .oxidation import recover_oxidation_data
 from .reduction import (
     BaseResult,
     ReductionStep,
-    fingerprint as reduction_fingerprint,
     irreducible_base as _irreducible_base,
     is_completely_reducible as _is_completely_reducible,
     reduce,
@@ -110,8 +123,6 @@ def _enumerate_cached(
             candidates.append(sub)
 
     if "series_derived" in modes:
-        from .liealg import killing_radical
-
         chains = [descending_central_series(g), ascending_central_series(g),
                   derived_series(g)]
         pool = [t for chain in chains for t in chain.terms]
@@ -236,24 +247,6 @@ def _verify_lagrangian_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> Subspace
     return sub
 
 
-def _extend_isotropic_containing(s: SymplecticLieAlgebra, seed: Subspace) -> Subspace:
-    """Greedy maximal isotropic extension inside the symplectic algebra."""
-    current = seed
-    while current.dim < s.dim // 2:
-        perp = omega_orthogonal(s, current)
-        grew = False
-        for row in perp.rows:
-            if not current.contains_vector(row):
-                cand = current.sum(Subspace.span(s.dim, [row]))
-                if isotropy_report(s, cand).isotropic:
-                    current = cand
-                    grew = True
-                    break
-        if not grew:
-            break
-    return current
-
-
 def _filiform_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
     g = s.algebra
     k = nilpotency_class(g)
@@ -272,7 +265,7 @@ def _two_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
     derived = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
     if not isotropy_report(s, derived).isotropic:
         return None
-    return _extend_isotropic_containing(s, derived)
+    return extend_to_maximal_isotropic(SymplecticVectorSpace(s.dim, s.omega), derived)
 
 
 def _central_lines(s: SymplecticLieAlgebra) -> list[Subspace]:
@@ -297,12 +290,8 @@ def _abelian_reduction_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
         if not bracket_span(step.reduced.algebra, Subspace.full(step.reduced.dim),
                             Subspace.full(step.reduced.dim)).is_zero():
             continue
-        from .oxidation import recover_oxidation_data
-
         h = line.rows[0]
         # xi with omega(xi, H) = 1
-        from .exactla import solve_linear
-
         res = solve_linear(Matrix((s.omega.matvec(h),), s.dim), (Q(-1),))
         if res.particular is None:
             continue
@@ -312,15 +301,7 @@ def _abelian_reduction_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
             continue
         space = SymplecticVectorSpace(data.base.dim, data.omega_bar)
         bar = invariant_lagrangian_nilpotent(space, data.phi)
-        lifted = [h]
-        for r in bar.rows:
-            v = list(vzero(s.dim))
-            for c, w in zip(r, w_rows):
-                if c != 0:
-                    for t, x in enumerate(w):
-                        v[t] += c * x
-            lifted.append(tuple(v))
-        cand = Subspace.span(s.dim, lifted)
+        cand = Subspace.span(s.dim, [h] + [combine(r, w_rows, s.dim) for r in bar.rows])
         try:
             return _verify_lagrangian_ideal(s, cand)
         except ValidationError:
@@ -354,36 +335,12 @@ def _three_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
 
 def _induced_complement_operators(s: SymplecticLieAlgebra, step: ReductionStep) -> list[Matrix]:
     """Operators induced on the reduction by the complement directions N."""
+    dec = step.decomposition
     ops = []
-    for nrow in step.decomposition.n_rows:
-        cols = []
-        for w in step.w_rows:
-            img = s.algebra.bracket(nrow, w)
-            cols.append(step.project_vector(_project_to_perp(s, step, img)))
+    for nrow in dec.n_rows:
+        cols = [dec.split(s.algebra.bracket(nrow, w))[1] for w in step.w_rows]
         ops.append(Matrix(tuple(cols), step.reduced.dim).transpose())
     return ops
-
-
-def _project_to_perp(s: SymplecticLieAlgebra, step: ReductionStep, v: Vec) -> Vec:
-    """Drop the N-component of v in the N + W + j splitting."""
-    from .exactla import solve_linear
-
-    dec = step.decomposition
-    basis = Matrix(dec.n_rows + step.w_rows + dec.j_rows, s.dim).transpose()
-    res = solve_linear(basis, v)
-    assert res.particular is not None
-    c = res.particular
-    k = len(dec.n_rows)
-    out = list(vzero(s.dim))
-    for idx, row in enumerate(step.w_rows):
-        if c[k + idx] != 0:
-            for t, x in enumerate(row):
-                out[t] += c[k + idx] * x
-    for idx, row in enumerate(dec.j_rows):
-        if c[k + len(step.w_rows) + idx] != 0:
-            for t, x in enumerate(row):
-                out[t] += c[k + len(step.w_rows) + idx] * x
-    return tuple(out)
 
 
 def _invariant_lagrangian_ideal_in_reduction(
@@ -465,12 +422,8 @@ def _joint_invariant_lagrangian(
     space = SymplecticVectorSpace(n, red.omega)
     ops = [op for op in ops if not op.is_zero()]
     if not ops:
-        from .endoalg import extend_to_maximal_isotropic
-
         return extend_to_maximal_isotropic(space, Subspace.zero(n))
     if len(ops) == 1 and nilpotency_index(ops[0]) is not None:
-        from .endoalg import quadratic_forms
-
         if quadratic_forms(space, ops[0]).beta_vanishes:
             return invariant_lagrangian_nilpotent(space, ops[0])
     # chain of images
@@ -488,20 +441,7 @@ def _joint_invariant_lagrangian(
     seed = current
     if not isotropy_report(red, seed).isotropic:
         return None
-    result = seed
-    while result.dim < n // 2:
-        perp = omega_orthogonal(red, result)
-        grew = False
-        for row in perp.rows:
-            if result.contains_vector(row):
-                continue
-            cand = result.sum(Subspace.span(n, [row]))
-            if isotropy_report(red, cand).isotropic and _all_invariant(cand, ops):
-                result = cand
-                grew = True
-                break
-        if not grew:
-            break
+    result = extend_to_maximal_isotropic(space, seed, lambda c: _all_invariant(c, ops))
     if result.dim == n // 2 and _all_invariant(result, ops):
         return result
     return None
@@ -619,7 +559,7 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
         return False
     kernel = Subspace.span(6, Matrix(x.rows, 6).kernel_basis()).intersect(
         Subspace.span(6, Matrix(y.rows, 6).kernel_basis()))
-    u_basis = _complete_complement(kernel)
+    u_basis = extend_basis(kernel, [vunit(6, i) for i in range(6)])
     if len(u_basis) != 2:
         return False
     u1, u2 = u_basis
@@ -629,18 +569,6 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
     if not smat.is_symmetric() or smat.det() <= 0:
         return False
     return True
-
-
-def _complete_complement(sub: Subspace) -> list[Vec]:
-    n = sub.ambient
-    out = []
-    current = sub
-    for i in range(n):
-        e = vunit(n, i)
-        if not current.contains_vector(e):
-            out.append(e)
-            current = current.sum(Subspace.span(n, [e]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +654,6 @@ def _irreducible_family_lagrangian(
     Requires dim h = 2 and two blocks; X mixes the blocks with a weight mu
     solving omega-isotropy, which needs a rational square root.
     """
-    from .exactla import rational_sqrt
-
     if cert.h_part.dim != 2 or len(cert.blocks) != 2:
         return None
     g = s.algebra
@@ -746,15 +672,10 @@ def _irreducible_family_lagrangian(
         x = tuple(a + mu * b for a, b in zip(b1.rows[0], b2.rows[0]))
         # H acting as J on block 1 and -+ J on block 2 scaled: solve for H in h
         # with lam1(H) = 1, lam2(H) = -sign (so that [H, X] stays in the span)
-        target = (Q(1), -sign)
-        lam_matrix = Matrix.from_rows([[lam[0][0], lam[1][0]], [lam[0][1], lam[1][1]]], 2)
-        from .exactla import solve_linear
-
-        res = solve_linear(lam_matrix.transpose(), target)
-        if res.particular is None:
+        coeffs = coordinates(Matrix.from_rows(lam, 2).transpose().rows, (Q(1), -sign))
+        if coeffs is None:
             continue
-        hvec = tuple(res.particular[0] * a + res.particular[1] * b
-                     for a, b in zip(h1, h2))
+        hvec = combine(coeffs, (h1, h2), s.dim)
         y = g.bracket(hvec, x)
         cand = Subspace.span(s.dim, [hvec, x, y])
         flags = subspace_algebra_flags(g, cand)
@@ -778,12 +699,9 @@ def _family_impossibility(
             if i != j and (lam[i] == lam[j] or tuple(-x for x in lam[i]) == lam[j]):
                 return None
     # character map h -> Q^3; check the image plane avoids permutations of (0,1,-1)
-    rows = Matrix.from_rows([list(l) for l in lam], 2)  # 3 x 2
-    from .exactla import solve_linear
-
+    columns = Matrix.from_rows([list(l) for l in lam], 2).transpose().rows
     for perm in itertools.permutations((Q(0), Q(1), Q(-1))):
-        res = solve_linear(rows, perm)
-        if res.particular is not None:
+        if coordinates(columns, perm) is not None:
             return None
     return "character-plane avoids permutations of (0, 1, -1); pairwise non-proportional"
 
@@ -813,19 +731,11 @@ def lagrangian_relations_check(
     b = l.intersect(a)
     # image of l under projection to h along a
     proj_rows = []
-    basis = Matrix(h.rows + a.rows, s.dim).transpose()
-    from .exactla import solve_linear
-
     for r in l.rows:
-        res = solve_linear(basis, r)
-        assert res.particular is not None
-        c = res.particular[: h.dim]
-        v = list(vzero(s.dim))
-        for coef, hr in zip(c, h.rows):
-            if coef != 0:
-                for t, x in enumerate(hr):
-                    v[t] += coef * x
-        proj_rows.append(tuple(v))
+        c = coordinates(h.rows + a.rows, r)
+        if c is None:
+            raise ValidationError("commutator and h-part do not span the algebra")
+        proj_rows.append(combine(c[: h.dim], h.rows, s.dim))
     i_sub = Subspace.span(s.dim, proj_rows)
     h_cap_l = h.intersect(l)
     rel = (

@@ -17,14 +17,17 @@ from .exactla import (
     Subspace,
     Vec,
     bilinear,
+    coordinates,
     orthogonal_complement,
     solve_linear,
     vec,
+    vunit,
 )
 from .liealg import (
     Connection,
     LieAlgebra,
     ValidationError,
+    bracket_span,
     is_flat,
     is_torsion_free,
     require_valid,
@@ -110,23 +113,48 @@ def isotropy_report(s: SymplecticLieAlgebra, w: Subspace) -> IsotropyReport:
 def canonical_connection(s: SymplecticLieAlgebra) -> Connection:
     """The flat torsion-free connection with omega(nabla_u v, w) = -omega(v, [u, w])."""
     g = s.algebra
-    n = g.dim
-    ft = s.omega.transpose()
-    mats = []
-    for i in range(n):
-        cols = []
-        for j in range(n):
-            rhs = tuple(
-                -s.pair(g.basis_vector(j), g.bracket_basis(i, k)) for k in range(n)
-            )
-            res = solve_linear(ft, rhs)
-            assert res.particular is not None, "omega must be non-degenerate"
-            cols.append(res.particular)
-        mats.append(Matrix(tuple(cols), n).transpose())
-    conn = Connection(g, tuple(mats))
+    basis = tuple(g.basis_vector(i) for i in range(g.dim))
+    _, conn = induced_connection(s, g, basis, basis)
     if not (is_flat(conn) and is_torsion_free(conn)):
         raise SymplecticError("canonical connection failed to be flat and torsion-free")
     return conn
+
+
+def dual_rows(s: SymplecticLieAlgebra, a_rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """Canonical solutions x_i of omega(x_i, a_l) = delta_il (free coordinates zero)."""
+    k = len(a_rows)
+    pairing = Matrix(tuple(s.omega.matvec(a) for a in a_rows), s.dim)
+    out = []
+    for i in range(k):
+        res = solve_linear(pairing, vunit(k, i))
+        if res.particular is None:
+            raise SymplecticError("omega must pair the rows with a transversal")
+        out.append(res.particular)
+    return tuple(out)
+
+
+def induced_connection(
+    s: SymplecticLieAlgebra, h: LieAlgebra, n_rows: tuple[Vec, ...], a_rows: tuple[Vec, ...]
+) -> tuple[Matrix, Connection]:
+    """Pairing omega_h = (omega(n_i, a_l)) and the connection on h = span of the
+    n_rows classes solving omega_h(nabla_u v, a) = -omega(v, [u, a]).
+
+    n_rows = a_rows = the standard basis gives the canonical connection.
+    """
+    g = s.algebra
+    k = len(n_rows)
+    omega_h = Matrix.from_rows([[s.pair(x, a) for a in a_rows] for x in n_rows], k)
+    mats = []
+    for u in n_rows:
+        brackets = [g.bracket(u, a) for a in a_rows]
+        cols = []
+        for v in n_rows:
+            col = coordinates(omega_h.rows, tuple(-s.pair(v, b) for b in brackets))
+            if col is None:
+                raise SymplecticError("induced connection has no solution")
+            cols.append(col)
+        mats.append(Matrix(tuple(cols), k).transpose())
+    return omega_h, Connection(h, tuple(mats))
 
 
 def totally_geodesic_check(s: SymplecticLieAlgebra, l: Subspace) -> bool:
@@ -135,8 +163,6 @@ def totally_geodesic_check(s: SymplecticLieAlgebra, l: Subspace) -> bool:
     if not flags.is_subalgebra:
         raise ValidationError("totally geodesic test requires a subalgebra")
     perp = omega_orthogonal(s, l)
-    from .liealg import bracket_span
-
     return perp.contains(bracket_span(s.algebra, l, perp))
 
 
@@ -153,25 +179,24 @@ class IsotropicDecomposition:
         amb = self.w.ambient
         return Subspace.span(amb, self.n_rows)
 
+    def split(self, v: Vec) -> tuple[Vec, Vec, Vec]:
+        """Coefficients of v over the N, W and j bases."""
+        c = coordinates(self.n_rows + self.w.rows + self.j_rows, v)
+        if c is None:
+            raise SymplecticError("decomposition does not span the algebra")
+        k, m = len(self.n_rows), self.w.dim
+        return c[:k], c[k: k + m], c[k + m:]
+
 
 def isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDecomposition:
     rep = isotropy_report(s, j)
     if not rep.isotropic:
         raise SymplecticError("decomposition requires an isotropic subspace")
-    g = s.algebra
-    n = g.dim
+    n = s.dim
     k = j.dim
     a_rows = j.rows
-    # dual vectors: omega(x, a_l) = x . (F a_l) = delta_il, canonical solutions
-    pairing_rows = Matrix(tuple(s.omega.matvec(a) for a in a_rows), n)
-    raw = []
-    for i in range(k):
-        rhs = tuple(Q(1) if l == i else Q(0) for l in range(k))
-        res = solve_linear(pairing_rows, rhs)
-        assert res.particular is not None
-        raw.append(res.particular)
     # triangular correction making N isotropic, preserving the dual pairing
-    corrected = list(raw)
+    corrected = list(dual_rows(s, a_rows))
     for i in range(k):
         for jdx in range(i):
             c = s.pair(corrected[i], corrected[jdx])
@@ -184,13 +209,13 @@ def isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDe
     j_perp = omega_orthogonal(s, j)
     n_perp = omega_orthogonal(s, n_sub)
     w = j_perp.intersect(n_perp)
-    assert n_sub.dim == k
-    assert w.dim == n - 2 * k
-    total = n_sub.sum(w).sum(j)
-    assert total.dim == n, "decomposition does not span"
+    if n_sub.dim != k or w.dim != n - 2 * k or n_sub.sum(w).sum(j).dim != n \
+            or j_perp != w.sum(j):
+        raise SymplecticError("isotropic decomposition does not split the algebra")
     for i in range(k):
         for jdx in range(k):
-            assert s.pair(n_rows[i], a_rows[jdx]) == (Q(1) if i == jdx else Q(0))
-            assert s.pair(n_rows[i], n_rows[jdx]) == 0
-    assert j_perp == w.sum(j)
+            if s.pair(n_rows[i], a_rows[jdx]) != (Q(1) if i == jdx else Q(0)) \
+                    or s.pair(n_rows[i], n_rows[jdx]) != 0:
+                raise SymplecticError("complement is not isotropic and dual to the ideal",
+                                      (i, jdx))
     return IsotropicDecomposition(n_rows, w, a_rows)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from sympla.exactla import (
     Matrix,
     Q,
     Subspace,
-    minor_rank,
     orthogonal_complement,
     rational_roots,
     rational_sqrt,
@@ -20,6 +20,20 @@ from sympla.exactla import (
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def minor_rank(a: Matrix) -> int:
+    """Rank via nonzero minors; exponential, an oracle independent of RREF."""
+    n = min(a.nrows, a.cols)
+    for k in range(n, 0, -1):
+        for rows in itertools.combinations(range(a.nrows), k):
+            for cols in itertools.combinations(range(a.cols), k):
+                sub = Matrix.from_rows(
+                    [[a.rows[i][j] for j in cols] for i in rows], k
+                )
+                if sub.det() != 0:
+                    return k
+    return 0
 
 
 def rows_strategy(nrows, ncols):

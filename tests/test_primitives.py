@@ -1,0 +1,112 @@
+"""The shared coordinate, combination and quotient-connection primitives,
+checked against solve_linear as an independent oracle."""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from sympla.endoalg import SymplecticVectorSpace, extend_to_maximal_isotropic
+from sympla.exactla import (
+    DimensionMismatch,
+    Matrix,
+    Q,
+    Subspace,
+    combine,
+    coordinates,
+    extend_basis,
+    solve_linear,
+    vunit,
+)
+from sympla.liealg import LieAlgebra
+from sympla.symplectic import dual_rows, induced_connection, isotropy_report
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def independent_rows(draw, min_rows=0):
+    n = draw(st.integers(min_value=max(1, min_rows), max_value=5))
+    k = draw(st.integers(min_value=min_rows, max_value=n))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    rows = tuple(tuple(r) for r in rows)
+    assume(Subspace.span(n, rows).dim == k)
+    return n, rows
+
+
+def oracle(rows, n, v):
+    return solve_linear(Matrix(rows, n).transpose(), v).particular
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_rows(), st.data())
+def test_coordinates_inverts_combine(nr, data):
+    n, rows = nr
+    coeffs = tuple(data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows))))
+    v = combine(coeffs, rows, n)
+    assert coordinates(rows, v) == coeffs == oracle(rows, n, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_rows(), st.data())
+def test_coordinates_agree_with_solve_linear(nr, data):
+    n, rows = nr
+    v = tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    assert coordinates(rows, v) == oracle(rows, n, v)
+
+
+def test_vector_outside_the_span_gives_none():
+    rows = ((Q(1), Q(2), Q(0)), (Q(0), Q(1), Q(1)))
+    assert coordinates(rows, (1, 3, 1)) == (Q(1), Q(1))
+    assert coordinates(rows, vunit(3, 2)) is None
+    assert coordinates((), (0, 0)) == ()
+    assert coordinates((), (0, 1)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(independent_rows(min_rows=1), st.data())
+def test_dependent_rows_raise(nr, data):
+    n, rows = nr
+    coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    dependent = rows + (combine(coeffs, rows, n),)
+    with pytest.raises(DimensionMismatch):
+        coordinates(dependent, rows[0])
+
+
+def test_row_length_mismatch_raises():
+    with pytest.raises(DimensionMismatch):
+        coordinates(((Q(1), Q(0)),), (1, 0, 0))
+
+
+def test_extend_basis_takes_the_first_independent_candidates():
+    sub = Subspace.span(4, [(1, 1, 0, 0)])
+    picked = extend_basis(sub, [vunit(4, i) for i in range(4)])
+    assert picked == [vunit(4, 0), vunit(4, 2), vunit(4, 3)]
+    assert sub.sum(Subspace.span(4, picked)).dim == 4
+
+
+def test_dual_rows_and_induced_connection(cat):
+    s = cat("g8").symplectic
+    g = s.algebra
+    j = cat("g8").marked["j3"]
+    n_rows = dual_rows(s, j.rows)
+    for i, x in enumerate(n_rows):
+        assert [s.pair(x, a) for a in j.rows] == list(vunit(j.dim, i))
+    omega_h, conn = induced_connection(s, LieAlgebra.abelian(j.dim), n_rows, j.rows)
+    assert omega_h == Matrix.identity(j.dim)
+    # omega_h(nabla_u v, a) = -omega(v, [u, a]) on the n_rows classes
+    for u, mat in zip(n_rows, conn.mats):
+        for b, v in enumerate(n_rows):
+            col = mat.col(b)
+            for t, a in enumerate(j.rows):
+                assert sum((omega_h.rows[r][t] * col[r] for r in range(j.dim)), Q(0)) \
+                    == -s.pair(v, g.bracket(u, a))
+
+
+def test_greedy_extension_respects_accept(cat):
+    s = cat("g8").symplectic
+    space = SymplecticVectorSpace(s.dim, s.omega)
+    seed = Subspace.span(s.dim, [vunit(s.dim, 7)])
+    full = extend_to_maximal_isotropic(space, seed)
+    assert full.dim == s.dim // 2 and full.contains(seed)
+    assert isotropy_report(s, full).lagrangian
+    assert extend_to_maximal_isotropic(space, seed, lambda cand: False) == seed

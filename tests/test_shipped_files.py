@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import pytest
@@ -6,6 +7,7 @@ from sympla.catalog import build
 from sympla.cli import ParsedFile, parse, run, serialize
 
 ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "sympla"
 NAMES = ("g8", "g10", "fdim_metab", "cs6", "irr6", "filiform4")
 
 
@@ -33,3 +35,15 @@ def test_cli_analyze_file_agrees_with_catalog_source():
     code_c, out_c = run(["rank", "catalog:g8"])
     assert code_f == code_c == 0
     assert out_f == out_c
+
+
+def test_no_function_local_imports():
+    """Every import of the package sits at module level."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
