@@ -85,12 +85,18 @@ class ParsedFile:
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """Malformed input; line is the 1-based file line, None for a flag value."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
-def _parse_rational(tok: str, line: int) -> Fraction:
+class UsageError(Exception):
+    """A command line naming something that does not exist (exit code 1)."""
+
+
+def _parse_rational(tok: str, line: int | None) -> Fraction:
     try:
         return Fraction(tok.strip())
     except (ValueError, ZeroDivisionError):
@@ -267,10 +273,26 @@ def _load(src: str) -> ParsedFile:
                     params[key] = int(val)
                 except ValueError:
                     params[key] = val
-        entry = cat.build(spec, **params)
+        entry = _build_entry(spec, params)
         return ParsedFile(entry.algebra, entry.symplectic, entry.flat, dict(entry.marked))
     with open(src, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", None) from None
+    return parse(text)
+
+
+def _build_entry(name: str, params: dict) -> cat.CatalogEntry:
+    """Build a catalog entry; unknown names and unusable parameters become user errors."""
+    if name not in cat.names():
+        raise UsageError(f"unknown catalog name {name!r}")
+    try:
+        return cat.build(name, **params)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad parameters for catalog entry {name!r}: {exc}") from None
 
 
 def _jsonable(x):
@@ -299,13 +321,17 @@ def _resolve_ideal(parsed: ParsedFile, spec: str) -> Subspace:
     if toks and all(t in g.labels for t in toks):
         return Subspace.span(g.dim, [g.basis_vector(g.labels.index(t)) for t in toks])
     if toks and all(t.lstrip("-").isdigit() for t in toks):
+        if not all(1 <= int(t) <= g.dim for t in toks):
+            raise ValidationError(f"ideal basis indices must lie in 1..{g.dim}")
         return Subspace.span(
             g.dim, [g.basis_vector(int(t) - 1) for t in toks])
     vecs = []
     for piece in spec.split(";"):
         piece = piece.strip()
         if piece:
-            vecs.append(tuple(Fraction(x) for x in piece.split(",")))
+            vecs.append(tuple(_parse_rational(x, None) for x in piece.split(",")))
+    if any(len(v) != g.dim for v in vecs):
+        raise ValidationError(f"ideal vectors must have {g.dim} entries")
     if vecs:
         return Subspace.span(g.dim, vecs)
     raise ValidationError(f"cannot resolve ideal specification {spec!r}")
@@ -316,14 +342,14 @@ def _parse_matrix_flag(text: str, n: int) -> Matrix:
     for piece in text.split(";"):
         piece = piece.strip()
         if piece:
-            rows.append([Fraction(x) for x in piece.split(",")])
+            rows.append([_parse_rational(x, None) for x in piece.split(",")])
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValidationError("matrix flag must be n rows of n entries")
     return Matrix.from_rows(rows, n)
 
 
 def _parse_vector_flag(text: str, n: int) -> Vec:
-    coords = [Fraction(x) for x in text.split(",")]
+    coords = [_parse_rational(x, None) for x in text.split(",")]
     if len(coords) != n:
         raise ValidationError("vector flag must have n entries")
     return tuple(coords)
@@ -338,10 +364,10 @@ def _parse_cochain_flag(text: str, n: int) -> Cochain:
             continue
         head, _, rhs = piece.partition(":")
         toks = head.split()
-        if len(toks) != 2:
+        if len(toks) != 2 or not all(t.isdigit() for t in toks):
             raise ValidationError("cochain flag expects 'i j: coords'")
         i, j = int(toks[0]) - 1, int(toks[1]) - 1
-        values[(i, j)] = tuple(Fraction(x) for x in rhs.split(","))
+        values[(i, j)] = tuple(_parse_rational(x, None) for x in rhs.split(","))
     return Cochain.from_values(2, n, n, values)
 
 
@@ -536,7 +562,7 @@ def _cmd_cohomology(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 def _cmd_catalog(args: list[str], opts: dict) -> tuple[int, dict]:
     if not args:
         return 0, {"entries": list(cat.names())}
-    entry = cat.build(args[0], **opts.get("params", {}))
+    entry = _build_entry(args[0], opts.get("params", {}))
     parsed = ParsedFile(entry.algebra, entry.symplectic, entry.flat, dict(entry.marked))
     return 0, {
         "name": entry.name,
@@ -603,7 +629,9 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 2, _emit({"error": "parse", "message": str(exc)})
     except (ValidationError, SymplecticError) as exc:
         return 2, _emit({"error": "validation", "message": str(exc)})
-    except FileNotFoundError as exc:
+    except UsageError as exc:
+        return 1, _emit({"error": "usage", "message": str(exc)})
+    except OSError as exc:
         return 1, _emit({"error": "io", "message": str(exc)})
 
 

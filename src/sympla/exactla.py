@@ -7,6 +7,7 @@ reduced row-echelon form so that equal subspaces compare equal as tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -520,28 +521,7 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
-    rn, rd = _isqrt(num), _isqrt(den)
-    if rn is None or rd is None:
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
         return None
     return Q(rn, rd)
-
-
-def _isqrt(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    # fall back to exact integer search around floating estimate
-    lo, hi = 0, max(1, n)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        sq = mid * mid
-        if sq == n:
-            return mid
-        if sq < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None

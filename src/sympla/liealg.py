@@ -6,7 +6,9 @@ Chevalley-Eilenberg cohomology, derivations, connections and semidirect sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -364,12 +366,15 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
     return Representation(g, tuple(g.ad(g.basis_vector(i)) for i in range(g.dim)))
 
 
-def combos(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), k))
+@functools.lru_cache(maxsize=None)
+def combos(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.combinations(range(n), k))
 
 
-def combo_index(n: int, k: int) -> dict[tuple[int, ...], int]:
-    return {c: i for i, c in enumerate(combos(n, k))}
+@functools.lru_cache(maxsize=None)
+def combo_index(n: int, k: int) -> Mapping[tuple[int, ...], int]:
+    """Position of each k-combo of range(n) in lex order (a shared read-only map)."""
+    return types.MappingProxyType({c: i for i, c in enumerate(combos(n, k))})
 
 
 @dataclass(frozen=True)
@@ -461,47 +466,49 @@ def coboundary_apply(rep: Representation, c: Cochain) -> Cochain:
     g = rep.algebra
     if c.dim != g.dim or c.module_dim != rep.module_dim:
         raise DimensionMismatch("cochain does not match the representation")
-    if c.degree >= 3:
-        raise ValidationError("coboundary only implemented for degrees 0..2")
-    n, m = g.dim, rep.module_dim
-    values: dict[tuple[int, ...], Vec] = {}
-    if c.degree == 0:
-        t = c.value_on_combo(())
-        for (i,) in combos(n, 1):
-            values[(i,)] = rep.mats[i].matvec(t)
-    elif c.degree == 1:
-        for i, j in combos(n, 2):
-            term = vsub(
-                rep.mats[i].matvec(c.value_on_combo((j,))),
-                rep.mats[j].matvec(c.value_on_combo((i,))),
-            )
-            values[(i, j)] = vsub(term, c.evaluate(g.bracket_basis(i, j)))
-    else:
-        for i, j, k in combos(n, 3):
-            ei, ej, ek = (g.basis_vector(t) for t in (i, j, k))
-            acc = rep.mats[i].matvec(c.value_on_combo((j, k)))
-            acc = vadd(acc, rep.mats[j].matvec(vscale(Q(-1), c.value_on_combo((i, k)))))
-            acc = vadd(acc, rep.mats[k].matvec(c.value_on_combo((i, j))))
-            acc = vadd(acc, c.evaluate(ei, g.bracket_basis(j, k)))
-            acc = vadd(acc, c.evaluate(ek, g.bracket_basis(i, j)))
-            acc = vadd(acc, c.evaluate(ej, g.bracket_basis(k, i)))
-            values[(i, j, k)] = acc
-    return Cochain.from_values(c.degree + 1, n, m, values)
+    d = coboundary_matrix(rep, c.degree)
+    return Cochain(c.degree + 1, g.dim, rep.module_dim, d.matvec(c.coords))
 
 
 def coboundary_matrix(rep: Representation, degree: int) -> Matrix:
-    """Matrix of the differential C^degree -> C^(degree+1) over lex coordinates."""
+    """Matrix of the differential C^degree -> C^(degree+1) over lex coordinates.
+
+    Row and column index = combo index * module_dim + module coordinate.  The
+    entries are scattered straight from the nonzero structure constants and
+    the nonzero entries of rho(e_i), by
+
+      (dc)(x_0..x_p) = sum_r (-1)^r rho(x_r) c(..^x_r..)
+                       + sum_{r<s} (-1)^(r+s) c([x_r, x_s], ..^x_r..^x_s..).
+    """
+    if not 0 <= degree <= 2:
+        raise ValidationError("coboundary only implemented for degrees 0..2")
     g = rep.algebra
     n, m = g.dim, rep.module_dim
-    size_in = len(combos(n, degree)) * m
-    cols = []
-    for i in range(size_in):
-        coords = [Q(0)] * size_in
-        coords[i] = Q(1)
-        image = coboundary_apply(rep, Cochain(degree, n, m, tuple(coords)))
-        cols.append(image.coords)
-    size_out = len(combos(n, degree + 1)) * m
-    return Matrix(tuple(cols), size_out).transpose() if cols else Matrix((), 0)
+    col_index = combo_index(n, degree)
+    out_combos = combos(n, degree + 1)
+    size_in = len(col_index) * m
+    rho = [[(a, b, v) for a, row in enumerate(mat.rows) for b, v in enumerate(row) if v]
+           for mat in rep.mats]
+    rows = [[Q(0)] * size_in for _ in range(len(out_combos) * m)]
+    for out, combo in enumerate(out_combos):
+        base = out * m
+        for r, x in enumerate(combo):
+            col = col_index[combo[:r] + combo[r + 1:]] * m
+            for a, b, v in rho[x]:
+                rows[base + a][col + b] += v if r % 2 == 0 else -v
+        for r, s in itertools.combinations(range(len(combo)), 2):
+            rest = combo[:r] + combo[r + 1:s] + combo[s + 1:]
+            for l, v in enumerate(g.table[combo[r]][combo[s]]):
+                if not v or l in rest:
+                    continue
+                # moving l from the front to its sorted place costs (-1)^pos
+                pos = sum(1 for y in rest if y < l)
+                col = col_index[rest[:pos] + (l,) + rest[pos:]] * m
+                if (r + s + pos) % 2:
+                    v = -v
+                for t in range(m):
+                    rows[base + t][col + t] += v
+    return Matrix(tuple(map(tuple, rows)), size_in)
 
 
 @dataclass(frozen=True)

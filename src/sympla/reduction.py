@@ -203,15 +203,17 @@ def _flat_quotient(s: SymplecticLieAlgebra, n_rows: tuple[Vec, ...],
 
 
 def normal_reduction_data(
-    s: SymplecticLieAlgebra, j: Subspace, dec: IsotropicDecomposition | None = None
+    s: SymplecticLieAlgebra, j: Subspace, step: ReductionStep | None = None
 ) -> NormalReductionData:
+    """Normal reduction data of j; step, when given, is the reduction of s by j."""
     g = s.algebra
     perp = omega_orthogonal(s, j)
     if not bracket_span(g, perp, j).is_zero():
         raise ValidationError("normal reduction requires [j^perp, j] = 0")
-    step = reduce(s, j)
-    if dec is not None:
-        step = ReductionStep(step.parent, step.ideal, step.kind, step.reduced, dec)
+    if step is None:
+        step = reduce(s, j)
+    elif step.parent != s or step.ideal != j:
+        raise ValidationError("reduction step does not reduce this algebra by this ideal")
     dec = step.decomposition
     n_rows, w_rows, j_rows = dec.n_rows, dec.w.rows, dec.j_rows
     k, m = len(n_rows), len(w_rows)
@@ -240,7 +242,7 @@ def normal_reduction_data(
     data = NormalReductionData(step, quotient.h, quotient.nabla_bar, quotient.omega_h,
                                tuple(phi_mats), alpha, tuple(lam_mats), mu)
     _check_cocycle_relations(s, data)
-    if classify_ideal(s, j) in ("central", "lagrangian") and center(g).contains(j):
+    if step.kind in ("central", "lagrangian") and center(g).contains(j):
         _check_central_conditions(s, data)
     return data
 
@@ -342,7 +344,7 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
 def lifted_ideal_is_ideal(step: ReductionStep, sub: Subspace) -> bool:
     """Invariance criterion for lifting ideals through a normal reduction."""
     try:
-        data = normal_reduction_data(step.parent, step.ideal, step.decomposition)
+        data = normal_reduction_data(step.parent, step.ideal, step)
     except ValidationError:
         lifted = step.lift_subspace(sub)
         return subspace_algebra_flags(step.parent.algebra, lifted).is_ideal

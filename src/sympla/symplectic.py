@@ -19,7 +19,6 @@ from .exactla import (
     bilinear,
     coordinates,
     orthogonal_complement,
-    solve_linear,
     vec,
     vunit,
 )
@@ -121,15 +120,23 @@ def canonical_connection(s: SymplecticLieAlgebra) -> Connection:
 
 
 def dual_rows(s: SymplecticLieAlgebra, a_rows: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Canonical solutions x_i of omega(x_i, a_l) = delta_il (free coordinates zero)."""
-    k = len(a_rows)
-    pairing = Matrix(tuple(s.omega.matvec(a) for a in a_rows), s.dim)
+    """Canonical solutions x_i of omega(x_i, a_l) = delta_il (free coordinates zero).
+
+    One elimination of [omega a | I_k]: every unit right-hand side is
+    consistent exactly when the k pairing rows are independent.
+    """
+    n, k = s.dim, len(a_rows)
+    augmented = Matrix(tuple(s.omega.matvec(a) + vunit(k, l) for l, a in enumerate(a_rows)),
+                       n + k)
+    red, pivots = augmented.rref()
+    if sum(1 for p in pivots if p < n) < k:
+        raise SymplecticError("omega must pair the rows with a transversal")
     out = []
     for i in range(k):
-        res = solve_linear(pairing, vunit(k, i))
-        if res.particular is None:
-            raise SymplecticError("omega must pair the rows with a transversal")
-        out.append(res.particular)
+        x = [Q(0)] * n
+        for r, p in enumerate(pivots):
+            x[p] = red.rows[r][n + i]
+        out.append(tuple(x))
     return tuple(out)
 
 

@@ -10,7 +10,16 @@ import random
 from fractions import Fraction
 
 from sympla.exactla import Matrix, Q, Subspace, vunit
-from sympla.liealg import Cochain, LieAlgebra, combos, matrix_as_two_form, two_form_derive
+from sympla.liealg import (
+    Cochain,
+    LieAlgebra,
+    Representation,
+    adjoint_rep,
+    combos,
+    matrix_as_two_form,
+    trivial_rep,
+    two_form_derive,
+)
 from sympla.oxidation import OxidationData
 
 Q0 = Q(0)
@@ -40,6 +49,51 @@ def random_nondegenerate_skew(rng: random.Random, n: int, span: int = 3) -> Matr
         m = random_skew(rng, n, span)
         if m.det() != 0:
             return m
+
+
+def random_invertible(rng: random.Random, n: int, span: int = 2) -> tuple[Matrix, Matrix]:
+    """(P, P^-1) for a random invertible P, the inverse read off rref [P | I]."""
+    while True:
+        p = random_matrix(rng, n, span)
+        if p.det() != 0:
+            break
+    red, _ = Matrix(tuple(r + vunit(n, i) for i, r in enumerate(p.rows)), 2 * n).rref()
+    return p, Matrix(tuple(r[n:] for r in red.rows), n)
+
+
+def change_of_basis(g: LieAlgebra, p: Matrix, p_inv: Matrix) -> LieAlgebra:
+    """g in the basis f_a = sum_i p[i][a] e_i (the columns of P); dense constants."""
+    n = g.dim
+    cols = [p.col(a) for a in range(n)]
+    brackets = {}
+    for a, b in combos(n, 2):
+        coords = p_inv.matvec(g.bracket(cols[a], cols[b]))
+        entry = {k: c for k, c in enumerate(coords) if c != 0}
+        if entry:
+            brackets[(a, b)] = entry
+    return LieAlgebra.from_brackets(g.labels, brackets)
+
+
+def random_representation(rng: random.Random, g: LieAlgebra) -> Representation:
+    """A trivial, adjoint or coadjoint module of g, or for abelian g the
+    multiples c_i A of one random matrix, conjugated by a random invertible P."""
+    kinds = ["trivial", "adjoint", "coadjoint"]
+    if all(v == 0 for row in g.table for w in row for v in w):
+        kinds.append("commuting")
+    kind = rng.choice(kinds)
+    if kind == "trivial":
+        rep = trivial_rep(g, rng.randint(1, 2))
+    elif kind == "adjoint":
+        rep = adjoint_rep(g)
+    elif kind == "coadjoint":
+        rep = Representation(g, tuple(m.transpose().neg() for m in adjoint_rep(g).mats))
+    else:
+        a = random_matrix(rng, rng.randint(1, 3))
+        rep = Representation(g, tuple(a.scale(random_fraction(rng)) for _ in range(g.dim)))
+    if rep.module_dim == 0:
+        return rep
+    p, p_inv = random_invertible(rng, rep.module_dim)
+    return Representation(g, tuple(p.mul(m).mul(p_inv) for m in rep.mats))
 
 
 def standard_symplectic(m: int) -> Matrix:

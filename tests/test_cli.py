@@ -131,6 +131,41 @@ def test_run_validation_failure_exit_code(tmp_path):
     assert payload["error"] == "validation"
 
 
+def _error(argv, code, kind):
+    got, out = run(argv)
+    assert got == code
+    payload = json.loads(out)
+    assert payload["error"] == kind and payload["message"]
+    return payload["message"]
+
+
+def test_run_unknown_catalog_name_is_a_usage_error():
+    assert "nope" in _error(["analyze", "catalog:nope"], 1, "usage")
+    assert "nope" in _error(["catalog", "nope"], 1, "usage")
+
+
+def test_run_bad_catalog_parameter_is_a_validation_error():
+    assert "'x'" in _error(["analyze", "catalog:aff?n=x"], 2, "validation")
+    _error(["analyze", "catalog:aff?m=3"], 2, "validation")
+    assert _error(["analyze", "catalog:aff?n=0"], 2, "validation") == "aff(n) needs n >= 1"
+
+
+def test_run_directory_source_is_an_io_error(tmp_path):
+    _error(["analyze", str(tmp_path)], 1, "io")
+
+
+def test_run_binary_source_is_a_parse_error(tmp_path):
+    src = tmp_path / "blob.alg"
+    src.write_bytes(b"dim 2\n\xff\xfe\n")
+    _error(["analyze", str(src)], 2, "parse")
+
+
+def test_run_bad_ideal_flag_is_reported():
+    assert "1/0" in _error(["reduce", "catalog:g8", "--ideal", "1/0"], 2, "parse")
+    _error(["reduce", "catalog:g8", "--ideal", "0,0,1/2"], 2, "validation")
+    _error(["reduce", "catalog:g8", "--ideal", "9"], 2, "validation")
+
+
 def test_run_oxidize_and_extend(tmp_path):
     # oxidize a 2-dimensional abelian symplectic algebra with a nilpotent phi
     src = tmp_path / "ab2.alg"

@@ -158,3 +158,11 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1)) is None
     assert rational_sqrt(Fraction(0)) == 0
+
+
+def test_rational_sqrt_beyond_float_range():
+    assert rational_sqrt(Fraction(10**400)) == 10**200
+    assert rational_sqrt(Fraction((10**200 + 1) ** 2)) == 10**200 + 1
+    assert rational_sqrt(Fraction((10**200 + 1) ** 2, 4)) == Fraction(10**200 + 1, 2)
+    assert rational_sqrt(Fraction(10**401)) is None
+    assert rational_sqrt(Fraction((10**200 + 1) ** 2 + 1)) is None

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _samplers import SMALL_ALGEBRAS
-from sympla.exactla import Matrix, Q, Subspace, vunit
+from _samplers import SMALL_ALGEBRAS, change_of_basis, random_invertible, random_representation
+from sympla.catalog import names as catalog_names
+from sympla.exactla import Matrix, Q, Subspace, vscale, vsub, vunit
 from sympla.liealg import (
     Cochain,
     LieAlgebra,
@@ -16,6 +17,7 @@ from sympla.liealg import (
     bracket_span,
     center,
     coboundary_apply,
+    coboundary_matrix,
     cohomology_space,
     combos,
     derivation_algebra,
@@ -142,6 +144,72 @@ def test_coboundary_squares_to_zero():
                 c = Cochain(degree, g.dim, rep.module_dim, coords)
                 dd = coboundary_apply(rep, coboundary_apply(rep, c))
                 assert dd.is_zero()
+
+
+def coboundary_oracle(rep: Representation, degree: int) -> Matrix:
+    """The definitional differential, one basis cochain at a time, evaluating
+    cochains on brackets through determinants of minors (Cochain.evaluate);
+    slow, and independent of the structure-constant scatter it checks."""
+    g = rep.algebra
+    n, m = g.dim, rep.module_dim
+    size_in = len(combos(n, degree)) * m
+    cols = []
+    for col in range(size_in):
+        c = Cochain(degree, n, m, vunit(size_in, col))
+        values = {}
+        if degree == 0:
+            for (i,) in combos(n, 1):
+                values[(i,)] = rep.mats[i].matvec(c.value_on_combo(()))
+        elif degree == 1:
+            for i, j in combos(n, 2):
+                values[(i, j)] = vsub(vsub(rep.mats[i].matvec(c.value_on_combo((j,))),
+                                           rep.mats[j].matvec(c.value_on_combo((i,)))),
+                                      c.evaluate(g.bracket_basis(i, j)))
+        else:
+            for i, j, k in combos(n, 3):
+                ei, ej, ek = (g.basis_vector(t) for t in (i, j, k))
+                terms = (rep.mats[i].matvec(c.value_on_combo((j, k))),
+                         vscale(Q(-1), rep.mats[j].matvec(c.value_on_combo((i, k)))),
+                         rep.mats[k].matvec(c.value_on_combo((i, j))),
+                         c.evaluate(ei, g.bracket_basis(j, k)),
+                         c.evaluate(ek, g.bracket_basis(i, j)),
+                         c.evaluate(ej, g.bracket_basis(k, i)))
+                values[(i, j, k)] = tuple(sum(t, Q(0)) for t in zip(*terms))
+        cols.append(Cochain.from_values(degree + 1, n, m, values).coords)
+    size_out = len(combos(n, degree + 1)) * m
+    return Matrix(tuple(cols), size_out).transpose() if cols else Matrix((), 0)
+
+
+CATALOG_MODULES = [(name, module) for name in catalog_names()
+                   for module in ("trivial", "adjoint")]
+
+
+@pytest.mark.parametrize("name,module", CATALOG_MODULES)
+def test_coboundary_matrix_matches_oracle_on_catalog(cat, name, module):
+    g = cat(name).algebra
+    rep = trivial_rep(g) if module == "trivial" else adjoint_rep(g)
+    degrees = (0, 1, 2) if module == "trivial" or g.dim <= 6 else (0, 1)
+    d = {k: coboundary_matrix(rep, k) for k in degrees}
+    for k in degrees:
+        assert d[k] == coboundary_oracle(rep, k)
+        if k and d[k - 1].nrows:
+            assert d[k].mul(d[k - 1]).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.booleans(),
+       st.integers(min_value=0, max_value=2**32))
+def test_coboundary_matrix_matches_oracle_on_random_modules(name, dense, seed):
+    rng = random.Random(seed)
+    g = SMALL_ALGEBRAS[name]
+    if dense:
+        g = change_of_basis(g, *random_invertible(rng, g.dim))
+    rep = random_representation(rng, g)
+    d = [coboundary_matrix(rep, k) for k in range(3)]
+    for k in range(3):
+        assert d[k] == coboundary_oracle(rep, k)
+        if k and d[k - 1].nrows:
+            assert d[k].mul(d[k - 1]).is_zero()
 
 
 def test_coboundary_trivial_rep_degree_one():

@@ -17,7 +17,13 @@ from sympla.exactla import (
     vunit,
 )
 from sympla.liealg import LieAlgebra
-from sympla.symplectic import dual_rows, induced_connection, isotropy_report
+from sympla.symplectic import (
+    SymplecticError,
+    SymplecticLieAlgebra,
+    dual_rows,
+    induced_connection,
+    isotropy_report,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -100,6 +106,28 @@ def test_dual_rows_and_induced_connection(cat):
             for t, a in enumerate(j.rows):
                 assert sum((omega_h.rows[r][t] * col[r] for r in range(j.dim)), Q(0)) \
                     == -s.pair(v, g.bracket(u, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_dual_rows_agrees_with_one_solve_per_unit_vector(n, data):
+    """One elimination of [omega a | I] gives each canonical solve_linear solution,
+    and fails exactly when some unit right-hand side is inconsistent."""
+    upper = data.draw(st.lists(rationals, min_size=n * n, max_size=n * n))
+    omega = Matrix(tuple(tuple(Q(0) if r == c else upper[r * n + c] if r < c
+                               else -upper[c * n + r] for c in range(n))
+                         for r in range(n)), n)
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    a_rows = tuple(tuple(r) for r in data.draw(
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=k, max_size=k)))
+    s = SymplecticLieAlgebra(LieAlgebra.abelian(n), omega)
+    pairing = Matrix(tuple(omega.matvec(a) for a in a_rows), n)
+    expected = [solve_linear(pairing, vunit(k, i)).particular for i in range(k)]
+    if any(x is None for x in expected):
+        with pytest.raises(SymplecticError):
+            dual_rows(s, a_rows)
+    else:
+        assert dual_rows(s, a_rows) == tuple(expected)
 
 
 def test_greedy_extension_respects_accept(cat):

@@ -178,7 +178,7 @@ def test_transfer_lift_invariant_lagrangian(cat):
     from sympla.endoalg import SymplecticVectorSpace, invariant_lagrangian_nilpotent
 
     space = SymplecticVectorSpace(4, step.reduced.omega)
-    nd = normal_reduction_data(s, h_line, step.decomposition)
+    nd = normal_reduction_data(s, h_line, step)
     bar = invariant_lagrangian_nilpotent(space, nd.phi[0])
     assert subspace_algebra_flags(step.reduced.algebra, bar).is_ideal
     lifted = transfer_isotropic(step, bar, "lift")
