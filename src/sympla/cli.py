@@ -71,7 +71,7 @@ commands:
   catalog [name]                   list entries or emit one as a file
 
 <src> is a file path or catalog:NAME (parameters: catalog:aff?n=3).
-flags: --json --ideal --strategy {central|any|greedy} --budget N --seed N
+flags: --json --ideal --strategy {central|any|greedy} --budget N
        --certified --phi --lam --alpha --degree
 """
 
@@ -261,19 +261,7 @@ def serialize(parsed: ParsedFile) -> str:
 
 def _load(src: str) -> ParsedFile:
     if src.startswith("catalog:"):
-        spec = src[len("catalog:"):]
-        params: dict = {}
-        if "?" in spec:
-            spec, query = spec.split("?", 1)
-            for piece in query.split("&"):
-                if not piece:
-                    continue
-                key, _, val = piece.partition("=")
-                try:
-                    params[key] = int(val)
-                except ValueError:
-                    params[key] = val
-        entry = _build_entry(spec, params)
+        entry = _build_entry(src[len("catalog:"):])
         return ParsedFile(entry.algebra, entry.symplectic, entry.flat, dict(entry.marked))
     with open(src, "r", encoding="utf-8") as fh:
         try:
@@ -283,8 +271,18 @@ def _load(src: str) -> ParsedFile:
     return parse(text)
 
 
-def _build_entry(name: str, params: dict) -> cat.CatalogEntry:
-    """Build a catalog entry; unknown names and unusable parameters become user errors."""
+def _build_entry(spec: str) -> cat.CatalogEntry:
+    """Build the catalog entry ``name?k=v&...``; integer values are passed as
+    ints, others as strings.  Unknown names and unusable parameters become
+    user errors."""
+    name, _, query = spec.partition("?")
+    params: dict = {}
+    for piece in filter(None, query.split("&")):
+        key, _, val = piece.partition("=")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            params[key] = val
     if name not in cat.names():
         raise UsageError(f"unknown catalog name {name!r}")
     try:
@@ -409,13 +407,11 @@ def _cmd_analyze(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
         payload["b2_dim"] = coh.b_dim
         payload["lambda2_dim"] = len(combos(g.dim, 2))
     if parsed.symplectic is not None:
-        bounds = symplectic_rank_bounds(parsed.symplectic,
-                                        budget=opts["budget"], seed=opts["seed"])
+        bounds = symplectic_rank_bounds(parsed.symplectic, budget=opts["budget"])
         payload["rank"] = {"lower": bounds.lower, "upper": bounds.upper,
                            "exact": bounds.exact,
                            "certificates": list(bounds.certificates)}
-        res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"],
-                               seed=opts["seed"])
+        res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"])
         payload["lagrangian_ideal"] = {"status": res.status,
                                        "certificate": res.certificate}
     return 0, payload
@@ -445,8 +441,7 @@ def _cmd_base(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
         raise ValidationError("base requires a symplectic structure")
     strategy = {"central": "central-first", "any": "any-isotropic",
                 "greedy": "greedy-max"}.get(opts["strategy"], opts["strategy"])
-    result = irreducible_base(parsed.symplectic, strategy,
-                              budget=opts["budget"], seed=opts["seed"])
+    result = irreducible_base(parsed.symplectic, strategy, budget=opts["budget"])
     payload = {
         "strategy": strategy,
         "status": result.status,
@@ -468,8 +463,7 @@ def _fingerprint_payload(fp: tuple) -> dict:
 def _cmd_rank(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     if parsed.symplectic is None:
         raise ValidationError("rank requires a symplectic structure")
-    bounds = symplectic_rank_bounds(parsed.symplectic, budget=opts["budget"],
-                                    seed=opts["seed"])
+    bounds = symplectic_rank_bounds(parsed.symplectic, budget=opts["budget"])
     payload = {
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -483,9 +477,8 @@ def _cmd_rank(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 def _cmd_lagrangian(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     if parsed.symplectic is None:
         raise ValidationError("lagrangian requires a symplectic structure")
-    res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"], seed=opts["seed"])
-    sub = lagrangian_subalgebra(parsed.symplectic, budget=opts["budget"],
-                                seed=opts["seed"])
+    res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"])
+    sub = lagrangian_subalgebra(parsed.symplectic, budget=opts["budget"])
     payload = {
         "status": res.status,
         "certificate": res.certificate,
@@ -562,7 +555,7 @@ def _cmd_cohomology(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 def _cmd_catalog(args: list[str], opts: dict) -> tuple[int, dict]:
     if not args:
         return 0, {"entries": list(cat.names())}
-    entry = _build_entry(args[0], opts.get("params", {}))
+    entry = _build_entry(args[0])
     parsed = ParsedFile(entry.algebra, entry.symplectic, entry.flat, dict(entry.marked))
     return 0, {
         "name": entry.name,
@@ -576,7 +569,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     if not argv or argv[0] in ("-h", "--help", "help"):
         return (0 if argv else 1), USAGE
     command, *rest = argv
-    opts = {"budget": 2000, "seed": 0, "strategy": "central", "certified": False}
+    opts = {"budget": 2000, "strategy": "central", "certified": False}
     args: list[str] = []
     i = 0
     while i < len(rest):
@@ -590,7 +583,7 @@ def run(argv: list[str]) -> tuple[int, str]:
                 return 1, f"missing value for {tok}\n"
             opts[tok[2:]] = rest[i + 1]
             i += 1
-        elif tok in ("--budget", "--seed", "--degree"):
+        elif tok in ("--budget", "--degree"):
             if i + 1 >= len(rest):
                 return 1, f"missing value for {tok}\n"
             try:

@@ -471,7 +471,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         return []
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     shift = 0
     while ints and ints[0] == 0:
@@ -494,12 +494,6 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(list(coeffs)):
         acc = acc * x + c
     return acc
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

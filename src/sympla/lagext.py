@@ -282,17 +282,6 @@ def symmetric_one_cochains(n: int) -> Subspace:
     return Subspace.span(n * n, vecs)
 
 
-def alternating_one_cochains(n: int) -> Subspace:
-    vecs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [Q(0)] * (n * n)
-            v[i * n + j] = Q(1)
-            v[j * n + i] = Q(-1)
-            vecs.append(tuple(v))
-    return Subspace.span(n * n, vecs)
-
-
 def trivial_two_cocycles_as_one_cochains(h: LieAlgebra) -> Subspace:
     """Z^2(h) embedded in C^1(h, h*) as alternating bilinear forms."""
     dmat = coboundary_matrix(trivial_rep(h), 2)

@@ -112,12 +112,6 @@ class LieAlgebra:
             raise DimensionMismatch("label count mismatch")
         return LieAlgebra(tuple(labels), self.table)
 
-    def label_index(self, name: str) -> int:
-        try:
-            return self.labels.index(name)
-        except ValueError:
-            raise KeyError(f"unknown basis label {name!r}") from None
-
 
 @dataclass(frozen=True)
 class JacobiReport:
@@ -353,9 +347,6 @@ class Representation:
             if a != 0:
                 out = out.add(self.mats[i].scale(a))
         return out
-
-    def act(self, v: Iterable, w: Iterable) -> Vec:
-        return self.act_vector(v).matvec(vec(w))
 
 
 def trivial_rep(g: LieAlgebra, module_dim: int = 1) -> Representation:

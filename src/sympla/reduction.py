@@ -323,8 +323,9 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
         if not (flags.is_subalgebra and rep.isotropic):
             raise ValidationError("lift requires an isotropic subalgebra of the reduction")
         lifted = step.lift_subspace(sub)
-        lrep = isotropy_report(step.parent, lifted)
-        assert lrep.isotropic, "lift of an isotropic subalgebra must be isotropic"
+        if not isotropy_report(step.parent, lifted).isotropic:
+            raise ValidationError("lift of an isotropic subalgebra is not isotropic: "
+                                  + _pairing_witness(step.parent, lifted))
         return lifted
     if direction == "project":
         if sub.ambient != step.parent.dim:
@@ -335,10 +336,21 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
             raise ValidationError("projection requires an isotropic subalgebra")
         projected = step.project_subspace(sub)
         prep = isotropy_report(step.reduced, projected)
-        assert prep.isotropic
-        assert prep.corank <= rep.corank, "projection must not increase the corank"
+        if not prep.isotropic:
+            raise ValidationError("projection of an isotropic subalgebra is not isotropic: "
+                                  + _pairing_witness(step.reduced, projected))
+        if prep.corank > rep.corank:
+            raise ValidationError(f"projection raised the corank from {rep.corank} "
+                                  f"to {prep.corank}")
         return projected
     raise ValueError("direction must be 'lift' or 'project'")
+
+
+def _pairing_witness(s: SymplecticLieAlgebra, sub: Subspace) -> str:
+    """omega on two basis rows of a non-isotropic subspace that it pairs nontrivially."""
+    u, v = next((u, v) for i, u in enumerate(sub.rows) for v in sub.rows[i + 1:]
+                if s.pair(u, v) != 0)
+    return f"omega({[str(x) for x in u]}, {[str(x) for x in v]}) = {s.pair(u, v)}"
 
 
 def lifted_ideal_is_ideal(step: ReductionStep, sub: Subspace) -> bool:
@@ -354,7 +366,10 @@ def lifted_ideal_is_ideal(step: ReductionStep, sub: Subspace) -> bool:
     )
     lifted = step.lift_subspace(sub)
     direct = subspace_algebra_flags(step.parent.algebra, lifted).is_ideal
-    assert invariant == direct, "invariance criterion disagrees with the direct check"
+    if invariant != direct:
+        raise ValidationError(
+            f"invariance criterion ({invariant}) disagrees with the direct ideal check "
+            f"({direct}) for the subspace {[[str(x) for x in r] for r in sub.rows]}")
     return direct
 
 
@@ -374,11 +389,6 @@ class ReductionSequence:
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    def project_to_base(self, sub: Subspace) -> Subspace:
-        for step in self.steps:
-            sub = step.project_subspace(sub)
-        return sub
 
 
 def run_reduction_sequence(s: SymplecticLieAlgebra, ideals: Sequence[Subspace]) -> ReductionSequence:

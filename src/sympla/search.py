@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .certificates import (
     EnvelopeCertificate,
@@ -69,8 +68,6 @@ from .symplectic import (
     omega_orthogonal,
 )
 
-MODES = ("basis_aligned", "series_derived", "randomized")
-
 
 def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
     if sub.dim == 0:
@@ -79,9 +76,9 @@ def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
     return flags.is_ideal and isotropy_report(s, sub).isotropic
 
 
-def ideal_closure(g: LieAlgebra, seed: Iterable[Vec]) -> Subspace:
-    """Smallest ideal containing the seed vectors."""
-    sub = Subspace.span(g.dim, list(seed))
+def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
+    """Smallest ideal containing the given vectors."""
+    sub = Subspace.span(g.dim, list(vectors))
     while True:
         grown = sub.sum(bracket_span(g, Subspace.full(g.dim), sub))
         if grown == sub:
@@ -89,30 +86,24 @@ def ideal_closure(g: LieAlgebra, seed: Iterable[Vec]) -> Subspace:
         sub = grown
 
 
-def isotropic_ideals_enumerate(
-    s: SymplecticLieAlgebra,
-    modes: Sequence[str] = MODES,
-    budget: int = 2000,
-    seed: int = 0,
-    max_dim: int | None = None,
-) -> list[Subspace]:
-    """Deterministic list of verified isotropic ideals, ordered by
-    (dimension descending, canonical basis lexicographic)."""
-    return list(_enumerate_cached(s, tuple(modes), budget, seed, max_dim))
+def isotropic_ideals_enumerate(s: SymplecticLieAlgebra, budget: int = 2000) -> list[Subspace]:
+    """Deterministic list of verified isotropic ideals of dimension at most
+    dim/2, ordered by (dimension descending, canonical basis lexicographic).
+
+    Structural candidates come first: terms of the central and derived
+    series, the center, the Killing radical and its commutator part, their
+    omega-isotropic parts, lines in central terms and ideal closures of
+    basis vectors.  Then coordinate subspaces are tried by increasing
+    dimension until ``budget`` candidates have been examined.
+    """
+    return list(_enumerate_cached(s, budget))
 
 
 @functools.lru_cache(maxsize=512)
-def _enumerate_cached(
-    s: SymplecticLieAlgebra,
-    modes: tuple[str, ...],
-    budget: int,
-    seed: int,
-    max_dim: int | None,
-) -> tuple[Subspace, ...]:
+def _enumerate_cached(s: SymplecticLieAlgebra, budget: int) -> tuple[Subspace, ...]:
     g = s.algebra
     n = g.dim
-    if max_dim is None:
-        max_dim = n // 2
+    max_dim = n // 2
     candidates: list[Subspace] = []
     examined = 0
 
@@ -122,45 +113,34 @@ def _enumerate_cached(
         if 0 < sub.dim <= max_dim and sub not in candidates and _is_isotropic_ideal(s, sub):
             candidates.append(sub)
 
-    if "series_derived" in modes:
-        chains = [descending_central_series(g), ascending_central_series(g),
-                  derived_series(g)]
-        pool = [t for chain in chains for t in chain.terms]
-        z = center(g)
-        pool.append(z)
-        kr = killing_radical(g)
-        pool.append(kr)
-        pool.append(kr.intersect(bracket_span(g, Subspace.full(n), Subspace.full(n))))
-        for term in list(pool):
-            pool.append(term.intersect(omega_orthogonal(s, term)))
-        for term in pool:
-            consider(term)
-            # lines inside central terms give the central reductions
-            if z.contains(term):
-                for row in term.rows:
-                    consider(Subspace.span(n, [row]))
-        for row in z.rows:
-            consider(Subspace.span(n, [row]))
-        # closures of single basis vectors
-        for i in range(n):
-            consider(ideal_closure(g, [g.basis_vector(i)]))
+    chains = [descending_central_series(g), ascending_central_series(g), derived_series(g)]
+    pool = [t for chain in chains for t in chain.terms]
+    z = center(g)
+    pool.append(z)
+    kr = killing_radical(g)
+    pool.append(kr)
+    pool.append(kr.intersect(bracket_span(g, Subspace.full(n), Subspace.full(n))))
+    for term in list(pool):
+        pool.append(term.intersect(omega_orthogonal(s, term)))
+    for term in pool:
+        consider(term)
+        # lines inside central terms give the central reductions
+        if z.contains(term):
+            for row in term.rows:
+                consider(Subspace.span(n, [row]))
+    for row in z.rows:
+        consider(Subspace.span(n, [row]))
+    # closures of single basis vectors
+    for i in range(n):
+        consider(ideal_closure(g, [g.basis_vector(i)]))
 
-    if "basis_aligned" in modes:
-        for d in range(1, max_dim + 1):
+    for d in range(1, max_dim + 1):
+        if examined >= budget:
+            break
+        for combo in itertools.combinations(range(n), d):
             if examined >= budget:
                 break
-            for combo in itertools.combinations(range(n), d):
-                if examined >= budget:
-                    break
-                consider(Subspace.span(n, [vunit(n, i) for i in combo]))
-
-    if "randomized" in modes:
-        rng = random.Random(seed)
-        for _ in range(min(64, max(0, budget - examined))):
-            v = tuple(Q(rng.randint(-2, 2)) for _ in range(n))
-            if all(x == 0 for x in v):
-                continue
-            consider(ideal_closure(g, [v]))
+            consider(Subspace.span(n, [vunit(n, i) for i in combo]))
 
     return tuple(sorted(candidates, key=lambda c: (-c.dim, c.rows)))
 
@@ -185,14 +165,12 @@ class RankBounds:
 
 
 @functools.lru_cache(maxsize=512)
-def symplectic_rank_bounds(
-    s: SymplecticLieAlgebra, budget: int = 2000, seed: int = 0
-) -> RankBounds:
+def symplectic_rank_bounds(s: SymplecticLieAlgebra, budget: int = 2000) -> RankBounds:
     g = s.algebra
     n = g.dim
     if n == 0:
         return RankBounds(0, 0, Subspace.zero(0), ("trivial",))
-    found = isotropic_ideals_enumerate(s, budget=budget, seed=seed)
+    found = isotropic_ideals_enumerate(s, budget)
     lower = found[0].dim if found else 0
     witness = found[0] if found else None
     bounds: list[tuple[str, int]] = [("half-dimension", n // 2)]
@@ -451,14 +429,12 @@ def _all_invariant(sub: Subspace, ops: list[Matrix]) -> bool:
     return all(sub.contains_vector(op.matvec(r)) for op in ops for r in sub.rows)
 
 
-def lagrangian_ideal(
-    s: SymplecticLieAlgebra, budget: int = 2000, seed: int = 0
-) -> LagrangianIdealResult:
+def lagrangian_ideal(s: SymplecticLieAlgebra, budget: int = 2000) -> LagrangianIdealResult:
     g = s.algebra
     n = g.dim
     if n == 0:
         return LagrangianIdealResult("found", Subspace.zero(0), "trivial")
-    rank = symplectic_rank_bounds(s, budget=budget, seed=seed)
+    rank = symplectic_rank_bounds(s, budget=budget)
     if rank.upper is not None and rank.upper < n // 2:
         cert = "+".join(rank.certificates)
         if _q6_reduction_blocks(s):
@@ -591,29 +567,31 @@ def _verify_lagrangian_subalgebra(s: SymplecticLieAlgebra, sub: Subspace) -> Sub
     return sub
 
 
-def candidates_for_reduction(budget: int = 600, seed: int = 0):
+def candidates_for_reduction(budget: int = 600):
     def fn(s: SymplecticLieAlgebra) -> list[Subspace]:
-        return isotropic_ideals_enumerate(s, budget=budget, seed=seed)
+        return isotropic_ideals_enumerate(s, budget)
 
     return fn
 
 
-def certify_irreducible(s: SymplecticLieAlgebra) -> bool:
+def certify_irreducible(s: SymplecticLieAlgebra, budget: int = 400) -> bool:
+    """Rank upper bound 0.  The bound does not depend on the budget; passing
+    the budget of the candidate search reuses that search's enumeration."""
     if s.dim == 0:
         return True
-    rank = symplectic_rank_bounds(s, budget=400)
+    rank = symplectic_rank_bounds(s, budget=budget)
     return rank.upper == 0
 
 
 def irreducible_base(s: SymplecticLieAlgebra, strategy: str = "central-first",
-                     budget: int = 600, seed: int = 0) -> BaseResult:
-    return _irreducible_base(s, strategy, candidates_for_reduction(budget, seed),
-                             certify_irreducible)
+                     budget: int = 600) -> BaseResult:
+    return _irreducible_base(s, strategy, candidates_for_reduction(budget),
+                             functools.partial(certify_irreducible, budget=budget))
 
 
 def symplectic_length_upper(s: SymplecticLieAlgebra, budget: int = 400) -> int | None:
     return _symplectic_length_upper(s, candidates_for_reduction(budget),
-                                    certify_irreducible)
+                                    functools.partial(certify_irreducible, budget=budget))
 
 
 def is_completely_reducible(s: SymplecticLieAlgebra, budget: int = 400) -> bool:
@@ -621,11 +599,11 @@ def is_completely_reducible(s: SymplecticLieAlgebra, budget: int = 400) -> bool:
 
 
 def lagrangian_subalgebra(
-    s: SymplecticLieAlgebra, budget: int = 600, seed: int = 0
+    s: SymplecticLieAlgebra, budget: int = 600
 ) -> LagrangianSubalgebraResult:
     if s.dim == 0:
         return LagrangianSubalgebraResult("found", Subspace.zero(0), "trivial")
-    base = irreducible_base(s, "central-first", budget=budget, seed=seed)
+    base = irreducible_base(s, "central-first", budget=budget)
     if base.base.dim == 0:
         sub = Subspace.zero(0)
         for step in reversed(base.steps):

@@ -104,7 +104,10 @@ def isotropy_report(s: SymplecticLieAlgebra, w: Subspace) -> IsotropyReport:
     corank = None
     if isotropic:
         diff = perp.dim - w.dim
-        assert diff % 2 == 0, "orthogonal defect of an isotropic subspace must be even"
+        if diff % 2:
+            raise SymplecticError(f"isotropic subspace of dimension {w.dim} has an "
+                                  f"orthogonal of dimension {perp.dim}; the defect "
+                                  f"{diff} must be even")
         corank = diff // 2
     return IsotropyReport(w, isotropic, coisotropic, isotropic and corank == 0, nondeg, corank)
 

@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from sympla.cli import ParsedFile, parse, run, serialize
 from sympla.catalog import build
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 H3_FILE = """dim 3
 basis X Y Z
@@ -146,6 +152,7 @@ def test_run_unknown_catalog_name_is_a_usage_error():
 
 def test_run_bad_catalog_parameter_is_a_validation_error():
     assert "'x'" in _error(["analyze", "catalog:aff?n=x"], 2, "validation")
+    assert "'x'" in _error(["catalog", "aff?n=x"], 2, "validation")
     _error(["analyze", "catalog:aff?m=3"], 2, "validation")
     assert _error(["analyze", "catalog:aff?n=0"], 2, "validation") == "aff(n) needs n >= 1"
 
@@ -201,3 +208,22 @@ def test_run_catalog_listing_and_export(tmp_path):
     payload = json.loads(out)
     reparsed = parse(payload["file"])
     assert reparsed.algebra.table == build("g8").algebra.table
+
+
+def test_run_catalog_export_with_params():
+    code, out = run(["catalog", "aff?n=3"])
+    assert code == 0
+    reparsed = parse(json.loads(out)["file"])
+    entry = build("aff", n=3)
+    assert reparsed.algebra.table == entry.algebra.table
+    assert reparsed.symplectic.omega.rows == entry.symplectic.omega.rows
+
+
+def test_optimized_run_prints_the_same_output():
+    """Invariant checks raise exceptions, so ``python -O`` changes nothing."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["-m", "sympla", "analyze", "catalog:cs6"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env,
+                               check=True)
+    assert plain.stdout and optimized.stdout == plain.stdout
