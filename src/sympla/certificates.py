@@ -403,6 +403,24 @@ def _to_ambient(sub_coords: Subspace, parent: Subspace) -> Subspace:
                          [combine(r, parent.rows, parent.ambient) for r in sub_coords.rows])
 
 
+def _split_components(comps: list[Subspace], ops: list[Matrix]) -> list[Subspace] | None:
+    """Refine comps by the primary split of each operator in turn; None when
+    some component is not invariant under some operator."""
+    for op in ops:
+        new_comps: list[Subspace] = []
+        for comp in comps:
+            rop = _restrict(op, comp)
+            if rop is None:
+                return None
+            split = _split_by_operator(comp, rop)
+            if split is None:
+                new_comps.append(comp)
+            else:
+                new_comps.extend(_to_ambient(p, comp) for p in split)
+        comps = new_comps
+    return comps
+
+
 def _component_irreducible(comp_dim: int, restricted_ops: list[Matrix]) -> bool:
     if comp_dim == 1:
         return True
@@ -431,21 +449,9 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
         if all(rop.mul(o).sub(o.mul(rop)).is_zero() for o in ops):
             ops.append(rop)
     ops = ops + [o.mul(o) for o in ops]
-    comps = [Subspace.full(m.dim)]
-    for op in ops:
-        new_comps: list[Subspace] = []
-        for comp in comps:
-            rop = _restrict(op, comp) if comp.dim else None
-            if comp.dim == 0:
-                continue
-            if rop is None:
-                return None
-            split = _split_by_operator(comp, rop)
-            if split is None:
-                new_comps.append(comp)
-            else:
-                new_comps.extend(_to_ambient(p, comp) for p in split)
-        comps = new_comps
+    comps = _split_components([Subspace.full(m.dim)], ops)
+    if comps is None:
+        return None
     ok_comps = []
     for comp in comps:
         rops = []
@@ -513,26 +519,14 @@ def irreducible_structure_certificate(
         rops.append(rop)
     if any(not x.mul(y).sub(y.mul(x)).is_zero() for x in rops for y in rops):
         return None
-    comps = [Subspace.full(a.dim)]
     # squares of the basis operators and of their pairwise sums: characters
     # differing only in per-coordinate sign patterns still get separated
     splitters = [o.mul(o) for o in rops]
     for x, y in itertools.combinations(rops, 2):
         total = x.add(y)
         splitters.append(total.mul(total))
-    for op in splitters:
-        new_comps = []
-        for comp in comps:
-            rop = _restrict(op, comp)
-            if rop is None:
-                return None
-            split = _split_by_operator(comp, rop)
-            if split is None:
-                new_comps.append(comp)
-            else:
-                new_comps.extend(_to_ambient(p, comp) for p in split)
-        comps = new_comps
-    if any(c.dim != 2 for c in comps):
+    comps = _split_components([Subspace.full(a.dim)], splitters)
+    if comps is None or any(c.dim != 2 for c in comps):
         return None
     # each block must carry a common complex structure scaled by characters
     characters = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as cat
-from .exactla import Matrix, Q, Subspace, Vec
+from .exactla import DimensionMismatch, Matrix, Q, Subspace, Vec
 from .lagext import (
     ExtensionTriple,
     FlatLieAlgebra,
@@ -54,7 +54,7 @@ from .search import (
     lagrangian_subalgebra,
     symplectic_rank_bounds,
 )
-from .symplectic import SymplecticError, SymplecticLieAlgebra, validate_symplectic
+from .symplectic import SymplecticLieAlgebra, validate_symplectic
 
 USAGE = """usage: sympla <command> [args]
 
@@ -71,9 +71,13 @@ commands:
   catalog [name]                   list entries or emit one as a file
 
 <src> is a file path or catalog:NAME (parameters: catalog:aff?n=3).
-flags: --json --ideal --strategy {central|any|greedy} --budget N
-       --certified --phi --lam --alpha --degree
+flags: --ideal --strategy {central|any|greedy} --certified
+       --phi --lam --alpha --degree
 """
+
+
+STRATEGIES = {"central": "central-first", "any": "any-isotropic", "greedy": "greedy-max"}
+VALUE_FLAGS = ("--ideal", "--strategy", "--phi", "--lam", "--alpha", "--degree")
 
 
 @dataclass
@@ -93,7 +97,8 @@ class ParseError(ValueError):
 
 
 class UsageError(Exception):
-    """A command line naming something that does not exist (exit code 1)."""
+    """A malformed command line, or one naming something that does not exist
+    (exit code 1)."""
 
 
 def _parse_rational(tok: str, line: int | None) -> Fraction:
@@ -407,11 +412,11 @@ def _cmd_analyze(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
         payload["b2_dim"] = coh.b_dim
         payload["lambda2_dim"] = len(combos(g.dim, 2))
     if parsed.symplectic is not None:
-        bounds = symplectic_rank_bounds(parsed.symplectic, budget=opts["budget"])
+        bounds = symplectic_rank_bounds(parsed.symplectic)
         payload["rank"] = {"lower": bounds.lower, "upper": bounds.upper,
                            "exact": bounds.exact,
                            "certificates": list(bounds.certificates)}
-        res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"])
+        res = lagrangian_ideal(parsed.symplectic)
         payload["lagrangian_ideal"] = {"status": res.status,
                                        "certificate": res.certificate}
     return 0, payload
@@ -439,9 +444,10 @@ def _cmd_reduce(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 def _cmd_base(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     if parsed.symplectic is None:
         raise ValidationError("base requires a symplectic structure")
-    strategy = {"central": "central-first", "any": "any-isotropic",
-                "greedy": "greedy-max"}.get(opts["strategy"], opts["strategy"])
-    result = irreducible_base(parsed.symplectic, strategy, budget=opts["budget"])
+    strategy = STRATEGIES.get(opts["strategy"], opts["strategy"])
+    if strategy not in STRATEGIES.values():
+        raise UsageError(f"unknown strategy {opts['strategy']!r}")
+    result = irreducible_base(parsed.symplectic, strategy)
     payload = {
         "strategy": strategy,
         "status": result.status,
@@ -463,7 +469,7 @@ def _fingerprint_payload(fp: tuple) -> dict:
 def _cmd_rank(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     if parsed.symplectic is None:
         raise ValidationError("rank requires a symplectic structure")
-    bounds = symplectic_rank_bounds(parsed.symplectic, budget=opts["budget"])
+    bounds = symplectic_rank_bounds(parsed.symplectic)
     payload = {
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -477,8 +483,8 @@ def _cmd_rank(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 def _cmd_lagrangian(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     if parsed.symplectic is None:
         raise ValidationError("lagrangian requires a symplectic structure")
-    res = lagrangian_ideal(parsed.symplectic, budget=opts["budget"])
-    sub = lagrangian_subalgebra(parsed.symplectic, budget=opts["budget"])
+    res = lagrangian_ideal(parsed.symplectic)
+    sub = lagrangian_subalgebra(parsed.symplectic)
     payload = {
         "status": res.status,
         "certificate": res.certificate,
@@ -531,7 +537,7 @@ def _cmd_extend(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
 
 def _cmd_cohomology(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     g = parsed.algebra
-    degree = opts.get("degree") or 2
+    degree = opts.get("degree", 2)
     coh = cohomology_space(trivial_rep(g), degree)
     payload = {
         "degree": degree,
@@ -564,38 +570,34 @@ def _cmd_catalog(args: list[str], opts: dict) -> tuple[int, dict]:
     }
 
 
+def _parse_argv(rest: list[str]) -> tuple[list[str], dict]:
+    """Positional arguments and flag values of the tokens after the command."""
+    opts: dict = {"strategy": "central", "certified": False}
+    args: list[str] = []
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok == "--certified":
+            opts["certified"] = True
+        elif tok in VALUE_FLAGS:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"missing value for {tok}")
+            try:
+                opts[tok[2:]] = int(value) if tok == "--degree" else value
+            except ValueError:
+                raise ParseError(f"--degree expects an integer, got {value!r}", None) from None
+        elif tok.startswith("--"):
+            raise UsageError(f"unknown flag {tok!r}")
+        else:
+            args.append(tok)
+    return args, opts
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute a command line; returns (exit status, stdout text)."""
     if not argv or argv[0] in ("-h", "--help", "help"):
         return (0 if argv else 1), USAGE
     command, *rest = argv
-    opts = {"budget": 2000, "strategy": "central", "certified": False}
-    args: list[str] = []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok == "--json":
-            pass
-        elif tok == "--certified":
-            opts["certified"] = True
-        elif tok in ("--ideal", "--strategy", "--phi", "--lam", "--alpha"):
-            if i + 1 >= len(rest):
-                return 1, f"missing value for {tok}\n"
-            opts[tok[2:]] = rest[i + 1]
-            i += 1
-        elif tok in ("--budget", "--degree"):
-            if i + 1 >= len(rest):
-                return 1, f"missing value for {tok}\n"
-            try:
-                opts[tok[2:]] = int(rest[i + 1])
-            except ValueError:
-                return 1, f"{tok} expects an integer\n"
-            i += 1
-        elif tok.startswith("--"):
-            return 1, USAGE
-        else:
-            args.append(tok)
-        i += 1
     handlers = {
         "validate": _cmd_validate,
         "analyze": _cmd_analyze,
@@ -608,19 +610,20 @@ def run(argv: list[str]) -> tuple[int, str]:
         "cohomology": _cmd_cohomology,
     }
     try:
+        if command != "catalog" and command not in handlers:
+            raise UsageError(f"unknown command {command!r}")
+        args, opts = _parse_argv(rest)
         if command == "catalog":
             code, payload = _cmd_catalog(args, opts)
             return code, _emit(payload)
-        if command not in handlers:
-            return 1, USAGE
         if not args:
-            return 1, f"{command} requires a source argument\n"
+            raise UsageError(f"{command} requires a source argument")
         parsed = _load(args[0])
         code, payload = handlers[command](parsed, opts)
         return code, _emit(payload)
-    except (ParseError,) as exc:
+    except ParseError as exc:
         return 2, _emit({"error": "parse", "message": str(exc)})
-    except (ValidationError, SymplecticError) as exc:
+    except (ValidationError, DimensionMismatch) as exc:
         return 2, _emit({"error": "validation", "message": str(exc)})
     except UsageError as exc:
         return 1, _emit({"error": "usage", "message": str(exc)})

@@ -42,6 +42,7 @@ from .liealg import (
     curvature,
     is_flat,
     is_torsion_free,
+    semidirect,
     subspace_algebra_flags,
     torsion,
     trivial_rep,
@@ -160,28 +161,14 @@ def lagrangian_extension(triple: ExtensionTriple) -> StronglyPolarized:
         raise SymplecticError(
             f"cyclic extension condition fails; witness triple {bad[0][0]}", bad[0]
         )
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, j in combos(n, 2):
-        entry = {k: c for k, c in enumerate(h.bracket_basis(i, j)) if c != 0}
-        for k, c in enumerate(triple.alpha.value_on_combo((i, j))):
-            if c != 0:
-                entry[n + k] = c
-        if entry:
-            brackets[(i, j)] = entry
-    for i in range(n):
-        for t in range(n):
-            col = rho.mats[i].col(t)
-            entry = {n + k: c for k, c in enumerate(col) if c != 0}
-            if entry:
-                brackets[(i, n + t)] = entry
-    labels = tuple(h.labels) + tuple(f"{name}*" for name in h.labels)
-    g = LieAlgebra.from_brackets(labels, brackets)
+    g = semidirect(h, rho, triple.alpha).relabel(
+        tuple(h.labels) + tuple(f"{name}*" for name in h.labels))
     rows = [[Q(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         rows[n + i][i] = Q(1)  # omega(xi, u) = xi(u)
         rows[i][n + i] = Q(-1)
     omega = Matrix.from_rows(rows, 2 * n)
-    s = validate_symplectic(g, omega)
+    s = validate_symplectic(g, omega, check_jacobi=False)  # semidirect checked it
     ideal = Subspace.span(2 * n, [vunit(2 * n, n + i) for i in range(n)])
     comp = Subspace.span(2 * n, [vunit(2 * n, i) for i in range(n)])
     polarized = StronglyPolarized(s, ideal, comp)

@@ -2,15 +2,15 @@
 
 Covers the single reduction step j^perp / j, extraction of normal-reduction
 data (quotient flat algebra, representing derivations, extension cochains),
-lifting and projection of isotropic subalgebras, reduction sequences, the
-irreducible base and symplectic length bounds.
+lifting and projection of isotropic subalgebras, reduction sequences and
+the invariant fingerprint of an irreducible base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exactla import (
     DimensionMismatch,
@@ -434,19 +434,7 @@ def induced_sequence(
 
 
 # ---------------------------------------------------------------------------
-# irreducible base
-
-
-CandidateFn = Callable[[SymplecticLieAlgebra], list[Subspace]]
-CertifyFn = Callable[[SymplecticLieAlgebra], bool]
-
-
-@dataclass(frozen=True)
-class BaseResult:
-    base: SymplecticLieAlgebra
-    steps: tuple[ReductionStep, ...]
-    fingerprint: tuple
-    status: str  # "certified" | "unresolved"
+# invariant fingerprint
 
 
 def fingerprint(s: SymplecticLieAlgebra, rank_bounds: tuple[int, int | None] | None = None) -> tuple:
@@ -460,92 +448,3 @@ def fingerprint(s: SymplecticLieAlgebra, rank_bounds: tuple[int, int | None] | N
     else:
         z2 = b2 = 0
     return (g.dim, desc, der, asc, z2, b2, rank_bounds)
-
-
-def irreducible_base(
-    s: SymplecticLieAlgebra,
-    strategy: str,
-    candidates_fn: CandidateFn,
-    certify_irreducible_fn: CertifyFn,
-    max_steps: int = 64,
-) -> BaseResult:
-    """Run reductions chosen by the strategy until no isotropic ideal is found.
-
-    The base is reported as certified only when the irreducibility certificate
-    succeeds (trivial algebras are certified vacuously).
-    """
-    if strategy not in ("central-first", "any-isotropic", "greedy-max"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    steps: list[ReductionStep] = []
-    current = s
-    for _ in range(max_steps):
-        if current.dim == 0:
-            return BaseResult(current, tuple(steps), fingerprint(current), "certified")
-        candidates = [c for c in candidates_fn(current) if c.dim > 0]
-        if not candidates:
-            status = "certified" if certify_irreducible_fn(current) else "unresolved"
-            return BaseResult(current, tuple(steps), fingerprint(current), status)
-        choice = _choose(current, candidates, strategy)
-        step = reduce(current, choice)
-        steps.append(step)
-        current = step.reduced
-    raise ValidationError("reduction did not terminate")
-
-
-def _choose(s: SymplecticLieAlgebra, candidates: list[Subspace], strategy: str) -> Subspace:
-    ordered = sorted(candidates, key=lambda c: (-c.dim, c.rows))
-    if strategy == "greedy-max":
-        return ordered[0]
-    if strategy == "any-isotropic":
-        return sorted(candidates, key=lambda c: (c.dim, c.rows))[0]
-    z = center(s.algebra)
-    central = [c for c in candidates if z.contains(c)]
-    if central:
-        lines = [c for c in central if c.dim == 1]
-        pool = lines if lines else central
-        return sorted(pool, key=lambda c: (c.dim, c.rows))[0]
-    return ordered[0]
-
-
-def symplectic_length_upper(
-    s: SymplecticLieAlgebra,
-    candidates_fn: CandidateFn,
-    certify_irreducible_fn: CertifyFn,
-    depth_limit: int = 12,
-) -> int | None:
-    """Length of the shortest complete reduction sequence found, None if none."""
-    if s.dim == 0 or certify_irreducible_fn(s):
-        return 0
-    best: int | None = None
-    candidates = sorted((c for c in candidates_fn(s) if c.dim > 0),
-                        key=lambda c: (-c.dim, c.rows))
-    for j in candidates:
-        if best is not None and best <= 1:
-            break
-        if depth_limit <= 0:
-            continue
-        step = reduce(s, j)
-        sub = symplectic_length_upper(step.reduced, candidates_fn,
-                                      certify_irreducible_fn, depth_limit - 1)
-        if sub is not None:
-            total = 1 + sub
-            if best is None or total < best:
-                best = total
-    return best
-
-
-def is_completely_reducible(
-    s: SymplecticLieAlgebra,
-    candidates_fn: CandidateFn,
-    depth_limit: int = 24,
-) -> bool:
-    if s.dim == 0:
-        return True
-    if depth_limit <= 0:
-        return False
-    for j in sorted((c for c in candidates_fn(s) if c.dim > 0),
-                    key=lambda c: (-c.dim, c.rows)):
-        step = reduce(s, j)
-        if is_completely_reducible(step.reduced, candidates_fn, depth_limit - 1):
-            return True
-    return False

@@ -1,9 +1,11 @@
 """Certified search for isotropic ideals and Lagrangian structures.
 
-Enumeration is budgeted and deterministic; every positive answer is
-re-verified, and every negative answer carries a machine-checkable
-certificate (envelope bound, invariant-subspace trap, or the irreducible
-structure argument).  Nothing is ever reported nonexistent without one.
+Enumeration is deterministic and stops after ``BUDGET`` examined candidates;
+every positive answer is re-verified, and every negative answer carries a
+machine-checkable certificate (envelope bound, invariant-subspace trap, or
+the irreducible structure argument).  Nothing is ever reported nonexistent
+without one.  The reduction searches built on the enumeration (irreducible
+base, symplectic length, complete reducibility) live here too.
 """
 
 from __future__ import annotations
@@ -54,14 +56,7 @@ from .liealg import (
     subspace_algebra_flags,
 )
 from .oxidation import recover_oxidation_data
-from .reduction import (
-    BaseResult,
-    ReductionStep,
-    irreducible_base as _irreducible_base,
-    is_completely_reducible as _is_completely_reducible,
-    reduce,
-    symplectic_length_upper as _symplectic_length_upper,
-)
+from .reduction import ReductionStep, fingerprint, reduce
 from .symplectic import (
     SymplecticLieAlgebra,
     isotropy_report,
@@ -86,7 +81,10 @@ def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
         sub = grown
 
 
-def isotropic_ideals_enumerate(s: SymplecticLieAlgebra, budget: int = 2000) -> list[Subspace]:
+BUDGET = 2000  # candidates examined before the coordinate-subspace scan stops
+
+
+def isotropic_ideals_enumerate(s: SymplecticLieAlgebra) -> list[Subspace]:
     """Deterministic list of verified isotropic ideals of dimension at most
     dim/2, ordered by (dimension descending, canonical basis lexicographic).
 
@@ -94,13 +92,13 @@ def isotropic_ideals_enumerate(s: SymplecticLieAlgebra, budget: int = 2000) -> l
     series, the center, the Killing radical and its commutator part, their
     omega-isotropic parts, lines in central terms and ideal closures of
     basis vectors.  Then coordinate subspaces are tried by increasing
-    dimension until ``budget`` candidates have been examined.
+    dimension until ``BUDGET`` candidates have been examined.
     """
-    return list(_enumerate_cached(s, budget))
+    return list(_enumerate_cached(s))
 
 
 @functools.lru_cache(maxsize=512)
-def _enumerate_cached(s: SymplecticLieAlgebra, budget: int) -> tuple[Subspace, ...]:
+def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     g = s.algebra
     n = g.dim
     max_dim = n // 2
@@ -135,10 +133,10 @@ def _enumerate_cached(s: SymplecticLieAlgebra, budget: int) -> tuple[Subspace, .
         consider(ideal_closure(g, [g.basis_vector(i)]))
 
     for d in range(1, max_dim + 1):
-        if examined >= budget:
+        if examined >= BUDGET:
             break
         for combo in itertools.combinations(range(n), d):
-            if examined >= budget:
+            if examined >= BUDGET:
                 break
             consider(Subspace.span(n, [vunit(n, i) for i in combo]))
 
@@ -165,12 +163,12 @@ class RankBounds:
 
 
 @functools.lru_cache(maxsize=512)
-def symplectic_rank_bounds(s: SymplecticLieAlgebra, budget: int = 2000) -> RankBounds:
+def symplectic_rank_bounds(s: SymplecticLieAlgebra) -> RankBounds:
     g = s.algebra
     n = g.dim
     if n == 0:
         return RankBounds(0, 0, Subspace.zero(0), ("trivial",))
-    found = isotropic_ideals_enumerate(s, budget)
+    found = isotropic_ideals_enumerate(s)
     lower = found[0].dim if found else 0
     witness = found[0] if found else None
     bounds: list[tuple[str, int]] = [("half-dimension", n // 2)]
@@ -429,12 +427,12 @@ def _all_invariant(sub: Subspace, ops: list[Matrix]) -> bool:
     return all(sub.contains_vector(op.matvec(r)) for op in ops for r in sub.rows)
 
 
-def lagrangian_ideal(s: SymplecticLieAlgebra, budget: int = 2000) -> LagrangianIdealResult:
+def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
     g = s.algebra
     n = g.dim
     if n == 0:
         return LagrangianIdealResult("found", Subspace.zero(0), "trivial")
-    rank = symplectic_rank_bounds(s, budget=budget)
+    rank = symplectic_rank_bounds(s)
     if rank.upper is not None and rank.upper < n // 2:
         cert = "+".join(rank.certificates)
         if _q6_reduction_blocks(s):
@@ -458,18 +456,14 @@ def lagrangian_ideal(s: SymplecticLieAlgebra, budget: int = 2000) -> LagrangianI
 
 
 def _low_dim_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
-    """Nilpotent algebras of dimension at most six always admit one."""
-    g = s.algebra
-    k = nilpotency_class(g)
-    if k is None or g.dim > 6:
+    """Class four in dimension six: reduce by a central line and lift.
+
+    Other nilpotent algebras of dimension at most six are left to the
+    two-step, filiform and three-step builders, which ``lagrangian_ideal``
+    tries first.
+    """
+    if s.dim != 6 or nilpotency_class(s.algebra) != 4:
         return None
-    if k <= 2:
-        return _two_step_lagrangian(s)
-    if k == g.dim - 1:
-        return _filiform_lagrangian(s)
-    if k == 3:
-        return _three_step_lagrangian(s)
-    # class four in dimension six: reduce by a central line and lift
     for line in _central_lines(s):
         step = reduce(s, line)
         phi_ops = _induced_complement_operators(s, step)
@@ -567,43 +561,92 @@ def _verify_lagrangian_subalgebra(s: SymplecticLieAlgebra, sub: Subspace) -> Sub
     return sub
 
 
-def candidates_for_reduction(budget: int = 600):
-    def fn(s: SymplecticLieAlgebra) -> list[Subspace]:
-        return isotropic_ideals_enumerate(s, budget)
-
-    return fn
+def certify_irreducible(s: SymplecticLieAlgebra) -> bool:
+    """Rank upper bound 0."""
+    return symplectic_rank_bounds(s).upper == 0
 
 
-def certify_irreducible(s: SymplecticLieAlgebra, budget: int = 400) -> bool:
-    """Rank upper bound 0.  The bound does not depend on the budget; passing
-    the budget of the candidate search reuses that search's enumeration."""
+# ---------------------------------------------------------------------------
+# reduction searches
+
+
+@dataclass(frozen=True)
+class BaseResult:
+    base: SymplecticLieAlgebra
+    steps: tuple[ReductionStep, ...]
+    fingerprint: tuple
+    status: str  # "certified" | "unresolved"
+
+
+MAX_REDUCTION_STEPS = 64
+
+
+def irreducible_base(s: SymplecticLieAlgebra, strategy: str = "central-first") -> BaseResult:
+    """Run reductions chosen by the strategy until no isotropic ideal is found.
+
+    The base is reported as certified only when the irreducibility certificate
+    succeeds (trivial algebras are certified vacuously).
+    """
+    if strategy not in ("central-first", "any-isotropic", "greedy-max"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    steps: list[ReductionStep] = []
+    current = s
+    for _ in range(MAX_REDUCTION_STEPS):
+        if current.dim == 0:
+            return BaseResult(current, tuple(steps), fingerprint(current), "certified")
+        candidates = isotropic_ideals_enumerate(current)
+        if not candidates:
+            status = "certified" if certify_irreducible(current) else "unresolved"
+            return BaseResult(current, tuple(steps), fingerprint(current), status)
+        step = reduce(current, _choose(current, candidates, strategy))
+        steps.append(step)
+        current = step.reduced
+    raise ValidationError("reduction did not terminate")
+
+
+def _choose(s: SymplecticLieAlgebra, candidates: list[Subspace], strategy: str) -> Subspace:
+    """Pick among candidates listed largest first, as the enumeration lists them."""
+    if strategy == "greedy-max":
+        return candidates[0]
+    if strategy == "any-isotropic":
+        return min(candidates, key=lambda c: (c.dim, c.rows))
+    z = center(s.algebra)
+    central = [c for c in candidates if z.contains(c)]
+    if central:
+        lines = [c for c in central if c.dim == 1]
+        return min(lines or central, key=lambda c: (c.dim, c.rows))
+    return candidates[0]
+
+
+def symplectic_length_upper(s: SymplecticLieAlgebra, depth_limit: int = 12) -> int | None:
+    """Length of the shortest complete reduction sequence found, None if none."""
+    if certify_irreducible(s):
+        return 0
+    if depth_limit <= 0:
+        return None
+    best: int | None = None
+    for j in isotropic_ideals_enumerate(s):
+        sub = symplectic_length_upper(reduce(s, j).reduced, depth_limit - 1)
+        if sub is not None and (best is None or 1 + sub < best):
+            best = 1 + sub
+        if best == 1:
+            break
+    return best
+
+
+def is_completely_reducible(s: SymplecticLieAlgebra, depth_limit: int = 24) -> bool:
     if s.dim == 0:
         return True
-    rank = symplectic_rank_bounds(s, budget=budget)
-    return rank.upper == 0
+    if depth_limit <= 0:
+        return False
+    return any(is_completely_reducible(reduce(s, j).reduced, depth_limit - 1)
+               for j in isotropic_ideals_enumerate(s))
 
 
-def irreducible_base(s: SymplecticLieAlgebra, strategy: str = "central-first",
-                     budget: int = 600) -> BaseResult:
-    return _irreducible_base(s, strategy, candidates_for_reduction(budget),
-                             functools.partial(certify_irreducible, budget=budget))
-
-
-def symplectic_length_upper(s: SymplecticLieAlgebra, budget: int = 400) -> int | None:
-    return _symplectic_length_upper(s, candidates_for_reduction(budget),
-                                    functools.partial(certify_irreducible, budget=budget))
-
-
-def is_completely_reducible(s: SymplecticLieAlgebra, budget: int = 400) -> bool:
-    return _is_completely_reducible(s, candidates_for_reduction(budget))
-
-
-def lagrangian_subalgebra(
-    s: SymplecticLieAlgebra, budget: int = 600
-) -> LagrangianSubalgebraResult:
+def lagrangian_subalgebra(s: SymplecticLieAlgebra) -> LagrangianSubalgebraResult:
     if s.dim == 0:
         return LagrangianSubalgebraResult("found", Subspace.zero(0), "trivial")
-    base = irreducible_base(s, "central-first", budget=budget)
+    base = irreducible_base(s, "central-first")
     if base.base.dim == 0:
         sub = Subspace.zero(0)
         for step in reversed(base.steps):

@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sympla.cli import ParsedFile, parse, run, serialize
+from sympla.cli import USAGE, ParsedFile, parse, run, serialize
 from sympla.catalog import build
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -63,11 +64,11 @@ def test_parse_error_reports_line():
 
 def test_run_usage_and_unknown():
     code, out = run([])
-    assert code == 1
+    assert code == 1 and out == USAGE
     code, out = run(["frobnicate"])
     assert code == 1
     code, out = run(["--help"])
-    assert code == 0 and "usage" in out
+    assert code == 0 and out == USAGE
 
 
 def test_run_analyze_g8_values():
@@ -171,6 +172,57 @@ def test_run_bad_ideal_flag_is_reported():
     assert "1/0" in _error(["reduce", "catalog:g8", "--ideal", "1/0"], 2, "parse")
     _error(["reduce", "catalog:g8", "--ideal", "0,0,1/2"], 2, "validation")
     _error(["reduce", "catalog:g8", "--ideal", "9"], 2, "validation")
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["rank", "catalog:fdim_metab", "--ideal"], 1, "usage"),
+    (["rank", "catalog:fdim_metab", "--budget", "5"], 1, "usage"),
+    (["rank", "catalog:fdim_metab", "--json"], 1, "usage"),
+    (["rank", "catalog:fdim_metab", "--seed", "1"], 1, "usage"),
+    (["frobnicate", "catalog:fdim_metab"], 1, "usage"),
+    (["rank"], 1, "usage"),
+    (["base", "catalog:fdim_metab", "--strategy", "bogus"], 1, "usage"),
+    (["cohomology", "catalog:fdim_metab", "--degree", "x"], 2, "parse"),
+    (["cohomology", "catalog:fdim_metab", "--degree", "0"], 2, "validation"),
+])
+def test_run_command_line_errors_print_the_json_body(argv, code, kind):
+    """Missing flag values, unknown flags and commands, a missing source and
+    bad flag values are reported like every other error."""
+    _error(argv, code, kind)
+
+
+COMMANDS = ("validate", "analyze", "reduce", "base", "rank", "lagrangian", "oxidize",
+            "extend", "cohomology", "catalog", "frobnicate", "help")
+SOURCES = ("catalog:fdim_metab", "catalog:filiform4", "catalog:cs6", "catalog:irr6",
+           "catalog:gklambda", "catalog:tn_cotangent", "catalog:aff?n=1",
+           "catalog:trivial", "fdim_metab", "nope")
+FLAGS = ("--ideal", "--strategy", "--phi", "--lam", "--alpha", "--degree", "--certified",
+         "--budget", "--json", "--seed", "--help")
+VALUES = ("Z", "XY", "1", "9", "1,0", "1/0", "0,0;1,0", "1 2: 0,1", "central", "greedy",
+          "bogus", "0", "2", "-1", "x", "")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_keeps_its_contract_on_any_command_line(tmp_path, data):
+    """Whatever the command line, ``run`` returns an exit code in 0..3 and
+    prints the usage text or exactly one JSON object, which is an error body
+    whenever the code is 1 or 2."""
+    garbage = tmp_path / "garbage.alg"
+    garbage.write_bytes(b"dim two\nbracket 1 = \xff\n")
+    tokens = st.sampled_from(SOURCES + FLAGS + VALUES
+                             + (str(garbage), str(tmp_path / "missing.alg")))
+    argv = [data.draw(st.sampled_from(COMMANDS))] + data.draw(st.lists(tokens, max_size=5))
+    code, out = run(argv)
+    assert code in (0, 1, 2, 3)
+    if out == USAGE:
+        return
+    assert out.endswith("}\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    if code in (1, 2):
+        assert set(payload) == {"error", "message"}
 
 
 def test_run_oxidize_and_extend(tmp_path):
