@@ -369,8 +369,11 @@ def _parse_cochain_flag(text: str, n: int) -> Cochain:
         toks = head.split()
         if len(toks) != 2 or not all(t.isdigit() for t in toks):
             raise ValidationError("cochain flag expects 'i j: coords'")
-        i, j = int(toks[0]) - 1, int(toks[1]) - 1
-        values[(i, j)] = tuple(_parse_rational(x, None) for x in rhs.split(","))
+        i, j = int(toks[0]), int(toks[1])
+        if not 1 <= i < j <= n:
+            raise ValidationError(
+                f"cochain flag indices '{toks[0]} {toks[1]}' must satisfy 1 <= i < j <= {n}")
+        values[(i - 1, j - 1)] = tuple(_parse_rational(x, None) for x in rhs.split(","))
     return Cochain.from_values(2, n, n, values)
 
 

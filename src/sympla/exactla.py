@@ -121,21 +121,11 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.rows[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(self.col(j) for j in range(self.cols)), self.nrows)
-
-    @property
-    def T(self) -> "Matrix":
-        return self.transpose()
 
     def matvec(self, v: Vec) -> Vec:
         if len(v) != self.cols:
@@ -149,9 +139,6 @@ class Matrix:
         return Matrix(
             tuple(tuple(vdot(r, oc) for oc in ot.rows) for r in self.rows), other.cols
         )
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.cols) != (other.nrows, other.cols):
@@ -324,18 +311,6 @@ class Subspace:
         if any(x != 0 for x in w):
             return None
         return tuple(coeffs)
-
-
-def rref_basis(vectors: Matrix | Sequence[Iterable], ambient: int | None = None) -> Subspace:
-    """Canonical subspace spanned by the given row vectors."""
-    if isinstance(vectors, Matrix):
-        return Subspace.span(vectors.cols, vectors.rows)
-    vecs = [vec(v) for v in vectors]
-    if ambient is None:
-        if not vecs:
-            raise DimensionMismatch("ambient dimension required for empty input")
-        ambient = len(vecs[0])
-    return Subspace.span(ambient, vecs)
 
 
 @dataclass(frozen=True)

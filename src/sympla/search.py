@@ -1,6 +1,6 @@
 """Certified search for isotropic ideals and Lagrangian structures.
 
-Enumeration is deterministic and stops after ``BUDGET`` examined candidates;
+Enumeration is deterministic and lists every coordinate isotropic ideal;
 every positive answer is re-verified, and every negative answer carries a
 machine-checkable certificate (envelope bound, invariant-subspace trap, or
 the irreducible structure argument).  Nothing is ever reported nonexistent
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .certificates import (
     EnvelopeCertificate,
@@ -65,8 +65,6 @@ from .symplectic import (
 
 
 def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
-    if sub.dim == 0:
-        return False
     flags = subspace_algebra_flags(s.algebra, sub)
     return flags.is_ideal and isotropy_report(s, sub).isotropic
 
@@ -81,18 +79,15 @@ def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
         sub = grown
 
 
-BUDGET = 2000  # candidates examined before the coordinate-subspace scan stops
-
-
 def isotropic_ideals_enumerate(s: SymplecticLieAlgebra) -> list[Subspace]:
     """Deterministic list of verified isotropic ideals of dimension at most
     dim/2, ordered by (dimension descending, canonical basis lexicographic).
 
-    Structural candidates come first: terms of the central and derived
+    It holds every coordinate isotropic ideal (``_coordinate_ideals``) and
+    the structural candidates that pass: terms of the central and derived
     series, the center, the Killing radical and its commutator part, their
     omega-isotropic parts, lines in central terms and ideal closures of
-    basis vectors.  Then coordinate subspaces are tried by increasing
-    dimension until ``BUDGET`` candidates have been examined.
+    basis vectors.
     """
     return list(_enumerate_cached(s))
 
@@ -102,14 +97,11 @@ def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     g = s.algebra
     n = g.dim
     max_dim = n // 2
-    candidates: list[Subspace] = []
-    examined = 0
+    found = set(_coordinate_ideals(s))
 
     def consider(sub: Subspace) -> None:
-        nonlocal examined
-        examined += 1
-        if 0 < sub.dim <= max_dim and sub not in candidates and _is_isotropic_ideal(s, sub):
-            candidates.append(sub)
+        if 0 < sub.dim <= max_dim and sub not in found and _is_isotropic_ideal(s, sub):
+            found.add(sub)
 
     chains = [descending_central_series(g), ascending_central_series(g), derived_series(g)]
     pool = [t for chain in chains for t in chain.terms]
@@ -132,15 +124,43 @@ def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     for i in range(n):
         consider(ideal_closure(g, [g.basis_vector(i)]))
 
-    for d in range(1, max_dim + 1):
-        if examined >= BUDGET:
-            break
-        for combo in itertools.combinations(range(n), d):
-            if examined >= BUDGET:
-                break
-            consider(Subspace.span(n, [vunit(n, i) for i in combo]))
+    return tuple(sorted(found, key=lambda c: (-c.dim, c.rows)))
 
-    return tuple(sorted(candidates, key=lambda c: (-c.dim, c.rows)))
+
+def _coordinate_ideals(s: SymplecticLieAlgebra) -> Iterator[Subspace]:
+    """Every isotropic ideal span{e_i : i in S} with 0 < |S| <= dim/2.
+
+    S is a bitmask.  The span is an ideal iff S holds the support of [g, e_i]
+    for each i in S, so S is a union of closures cl(i) under that relation;
+    it is isotropic iff omega pairs no two indices of S.  Every superset of a
+    failing S fails too, so the depth-first search over S | cl(i) prunes
+    exactly; taking i as the least index added reaches each S once.
+    """
+    n = s.dim
+    closure = [1 << i for i in range(n)]
+    for row in s.algebra.table:
+        for i, v in enumerate(row):
+            closure[i] |= _support(v)
+    for k in range(n):  # Warshall: whatever reaches k reaches all k reaches
+        for i in range(n):
+            if closure[i] >> k & 1:
+                closure[i] |= closure[k]
+    paired = [_support(row) for row in s.omega.rows]
+    stack = [(0, 0)]  # (S, first index that may be added)
+    while stack:
+        mask, start = stack.pop()
+        for i in range(start, n):
+            added = closure[i] & ~mask
+            grown = mask | added
+            if added & -added != 1 << i or grown.bit_count() > n // 2 \
+                    or any(grown >> k & 1 and grown & paired[k] for k in range(n)):
+                continue
+            yield Subspace.span(n, [vunit(n, k) for k in range(n) if grown >> k & 1])
+            stack.append((grown, i + 1))
+
+
+def _support(v: Vec) -> int:
+    return sum(1 << k for k, x in enumerate(v) if x != 0)
 
 
 # ---------------------------------------------------------------------------

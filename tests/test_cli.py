@@ -174,6 +174,12 @@ def test_run_bad_ideal_flag_is_reported():
     _error(["reduce", "catalog:g8", "--ideal", "9"], 2, "validation")
 
 
+def test_run_bad_cochain_flag_names_the_indices_as_typed():
+    for alpha in ("0 1: 1,0", "2 1: 1,0", "1 9: 1,0"):
+        message = _error(["extend", "catalog:tn_cotangent", "--alpha", alpha], 2, "validation")
+        assert f"'{alpha.split(':')[0]}'" in message
+
+
 @pytest.mark.parametrize("argv, code, kind", [
     (["rank", "catalog:fdim_metab", "--ideal"], 1, "usage"),
     (["rank", "catalog:fdim_metab", "--budget", "5"], 1, "usage"),

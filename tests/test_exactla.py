@@ -12,7 +12,6 @@ from sympla.exactla import (
     orthogonal_complement,
     rational_roots,
     rational_sqrt,
-    rref_basis,
     solve_linear,
     subspace_relate,
     vunit,
@@ -43,13 +42,13 @@ def rows_strategy(nrows, ncols):
 
 
 def test_rref_identity_case():
-    sub = rref_basis([(1, 0), (0, 1)])
+    sub = Subspace.span(2, [(1, 0), (0, 1)])
     assert sub.dim == 2
     assert sub.rows == (vunit(2, 0), vunit(2, 1))
 
 
 def test_rref_dependent_rows():
-    sub = rref_basis([(2, 4), (1, 2)])
+    sub = Subspace.span(2, [(2, 4), (1, 2)])
     assert sub.dim == 1
     assert sub.rows == ((Q(1), Q(2)),)
 
@@ -60,28 +59,28 @@ def test_rref_rank_against_minor_oracle():
         rows = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)]
                 for _ in range(7)]
         m = Matrix.from_rows(rows, 5)
-        assert rref_basis(rows).dim == minor_rank(m)
+        assert Subspace.span(5, rows).dim == minor_rank(m)
 
 
 def test_rref_idempotent_and_order_independent():
     rng = random.Random(11)
     rows = [[Q(rng.randint(-3, 3)) for _ in range(4)] for _ in range(5)]
-    a = rref_basis(rows)
-    b = rref_basis(list(reversed(rows)))
+    a = Subspace.span(4, rows)
+    b = Subspace.span(4, list(reversed(rows)))
     assert a == b
-    assert rref_basis(a.rows) == a
+    assert Subspace.span(4, a.rows) == a
 
 
 def test_relate_equal_subspaces():
-    a = rref_basis([(1, 2, 0), (0, 0, 1)])
+    a = Subspace.span(3, [(1, 2, 0), (0, 0, 1)])
     rel = subspace_relate(a, a)
     assert rel.intersection == a == rel.sum
     assert rel.a_contains_b and rel.b_contains_a
 
 
 def test_relate_complementary_lines():
-    a = rref_basis([(1, 0)])
-    b = rref_basis([(0, 1)])
+    a = Subspace.span(2, [(1, 0)])
+    b = Subspace.span(2, [(0, 1)])
     rel = subspace_relate(a, b)
     assert rel.intersection.is_zero()
     assert rel.sum == Subspace.full(2)
@@ -131,8 +130,8 @@ def test_orthogonal_complement_symplectic_line():
     # omega = e1^e3 + e2^e4; the orthogonal of <e1> is cut out by the e3 coord
     rows = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
     form = Matrix.from_rows(rows, 4)
-    perp = orthogonal_complement(form, rref_basis([(1, 0, 0, 0)]))
-    expected = rref_basis([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+    perp = orthogonal_complement(form, Subspace.span(4, [(1, 0, 0, 0)]))
+    expected = Subspace.span(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     assert perp == expected
 
 

@@ -1,8 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from _samplers import abelian_oxidation_data, random_nondegenerate_skew
+from _samplers import (
+    abelian_oxidation_data,
+    change_of_basis,
+    heisenberg_oxidation_data,
+    random_nondegenerate_skew,
+)
+from sympla.catalog import names as catalog_names
 from sympla.certificates import (
     build_envelope_certificate,
     invariant_ideal_trap,
@@ -69,6 +76,53 @@ def test_enumerate_g10_finds_rank_witness(cat):
     assert e.marked["j4"] in found
 
 
+def _shear(n, a, b, c):
+    """The elementary matrix I + c E_ab, a != b."""
+    rows = [list(vunit(n, i)) for i in range(n)]
+    rows[a][b] = Q(c)
+    return Matrix.from_rows(rows, n)
+
+
+def _oracle_cases(cat):
+    """Catalog forms, a permuted and a sheared copy of each, and oxidations."""
+    rng = random.Random(5)
+    for name in catalog_names():
+        s = cat(name).symplectic
+        n = s.dim
+        yield name, s
+        if n == 0:
+            continue
+        order = list(range(n))
+        rng.shuffle(order)
+        perm = Matrix.from_rows([vunit(n, k) for k in order], n)
+        a, b = order[:2]
+        for label, (p, p_inv) in (("permuted", (perm, perm.transpose())),
+                                  ("sheared", (_shear(n, a, b, 1), _shear(n, a, b, -1)))):
+            omega = p.transpose().mul(s.omega).mul(p)
+            yield f"{name} {label}", validate_symplectic(
+                change_of_basis(s.algebra, p, p_inv), omega)
+    for m in (1, 2, 3):
+        yield f"abelian oxidation m={m}", symplectic_oxidation(abelian_oxidation_data(rng, m))
+    yield "heisenberg oxidation", symplectic_oxidation(heisenberg_oxidation_data(rng))
+
+
+def test_enumerate_lists_exactly_the_coordinate_isotropic_ideals(cat):
+    """Oracle: every span{e_i : i in S} with |S| <= dim/2 that passes the
+    ideal and isotropy tests, and no other coordinate subspace."""
+    for label, s in _oracle_cases(cat):
+        n = s.dim
+        expected = set()
+        for d in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(n), d):
+                sub = Subspace.span(n, [vunit(n, i) for i in combo])
+                if subspace_algebra_flags(s.algebra, sub).is_ideal \
+                        and isotropy_report(s, sub).isotropic:
+                    expected.add(sub)
+        found = {sub for sub in isotropic_ideals_enumerate(s)
+                 if all(sum(x != 0 for x in row) == 1 for row in sub.rows)}
+        assert found == expected, label
+
+
 def test_envelope_certificates(cat):
     e = cat("g8")
     cert = build_envelope_certificate(e.symplectic)
@@ -121,6 +175,16 @@ def test_rank_witnesses(cat):
     bounds = symplectic_rank_bounds(g8.symplectic)
     assert bounds.lower_witness.dim == 3
     assert isotropy_report(g8.symplectic, bounds.lower_witness).isotropic
+
+
+def test_rank_witness_of_the_cotangent_algebra_is_the_fibre(cat):
+    """On T*H with H the strictly upper triangular 4x4 matrices, the search
+    finds the cotangent fibre h* = span{E12*, ..., E34*} as the Lagrangian
+    rank witness."""
+    s = cat("tn_cotangent", n=4).symplectic
+    bounds = symplectic_rank_bounds(s)
+    assert bounds.lower == bounds.upper == 6
+    assert bounds.lower_witness == Subspace.span(12, [vunit(12, i) for i in range(6, 12)])
 
 
 def test_irreducible_structure_certificate(cat):
