@@ -26,6 +26,7 @@ from .exactla import (
     Vec,
     charpoly,
     combine,
+    coordinates,
     poly_eval_matrix,
     rational_roots,
     rational_sqrt,
@@ -342,7 +343,7 @@ def _restrict(op: Matrix, sub: Subspace) -> Matrix | None:
     """Matrix of op on sub in its RREF basis; None if sub is not op-invariant."""
     cols = []
     for r in sub.rows:
-        c = sub.coordinates_of(op.matvec(r))
+        c = coordinates(sub.rows, op.matvec(r))
         if c is None:
             return None
         cols.append(c)

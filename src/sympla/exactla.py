@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on ``fractions.Fraction``; there are no
-floating-point numbers and no tolerances anywhere.  Subspaces are kept in
-reduced row-echelon form so that equal subspaces compare equal as tuples.
+Everything in this package takes and returns ``fractions.Fraction``; there
+are no floating-point numbers and no tolerances anywhere.  Eliminations run
+fraction-free on integer rows: ``_rref`` clears each row's denominators and
+keeps rows primitive by gcd, and ``Matrix.det`` is Bareiss elimination.  Only
+the final reduced rows become Fractions again, and since the reduced form is
+unique they are the canonical Fraction RREF.  Subspaces are kept in reduced
+row-echelon form so that equal subspaces compare equal as tuples.
 """
 
 from __future__ import annotations
@@ -68,25 +72,52 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan with leftmost pivots; returns (rows, pivot cols)."""
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators, then by 1/gcd of its entries."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (lcm // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _rref(rows: list[Sequence[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form with leftmost pivots; returns (rows, pivot cols).
+
+    The rows are replaced in place.  Fraction-free Gauss-Jordan: each row is
+    scaled to primitive integers, row_i becomes p·row_i − f·row_r (p the pivot,
+    f = row_i[c], both divided by gcd(p, f)) divided by the gcd of its entries,
+    and only the pivot rows are divided by their pivots at the end.  The
+    reduced form is unique, so the rows equal those of Fraction elimination.
+    """
+    work = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
+    zero = Q(0)
+    for i, row in enumerate(work):
+        if i < r:
+            p = row[pivots[i]]
+            rows[i] = [Q(x, p) if x else zero for x in row]
+        else:
+            rows[i] = [zero] * cols
     return rows, pivots
 
 
@@ -180,33 +211,39 @@ class Matrix:
         )
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        work = [list(r) for r in self.rows]
-        rows, pivots = _rref(work, self.cols)
+        rows, pivots = _rref(list(self.rows), self.cols)
         return Matrix(tuple(tuple(r) for r in rows), self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
+        """Bareiss elimination on the integer matrix (one common denominator cleared).
+
+        Each step replaces a_ij by (p·a_ij − a_ik·a_kj)/prev, an exact division
+        by the previous pivot, so every entry stays an integer minor.
+        """
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
         n = self.nrows
-        work = [list(r) for r in self.rows]
-        det = Q(1)
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if pivot is None:
-                return Q(0)
-            if pivot != c:
-                work[c], work[pivot] = work[pivot], work[c]
-                det = -det
-            det *= work[c][c]
-            inv = 1 / work[c][c]
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] * inv
-                    work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-        return det
+        den = math.lcm(*(x.denominator for row in self.rows for x in row))
+        work = [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
+        sign, prev = 1, 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if work[i][k]), None)
+            if pivot is None:  # a zero column below the diagonal: singular
+                sign = 0
+                break
+            if pivot != k:
+                work[k], work[pivot] = work[pivot], work[k]
+                sign = -sign
+            prow = work[k]
+            p = prow[k]
+            for i in range(k + 1, n):
+                f = work[i][k]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+            prev = p
+        return Q(sign * prev, den**n)
 
     def kernel_basis(self) -> tuple[Vec, ...]:
         """Canonical basis of the right null space (free variables set to 1)."""
@@ -239,8 +276,7 @@ class Subspace:
                 raise DimensionMismatch("vector does not match ambient dimension")
         if not vecs:
             return Subspace(ambient, (), ())
-        work = [list(v) for v in vecs]
-        rows, pivots = _rref(work, ambient)
+        rows, pivots = _rref(vecs, ambient)
         rows = rows[: len(pivots)]
         return Subspace(ambient, tuple(tuple(r) for r in rows), tuple(pivots))
 
@@ -250,7 +286,8 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.span(ambient, [vunit(ambient, i) for i in range(ambient)])
+        return Subspace(ambient, tuple(vunit(ambient, i) for i in range(ambient)),
+                        tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -298,19 +335,6 @@ class Subspace:
             u = k[: a.nrows]
             vecs.append(tuple(vdot(u, a.col(j)) for j in range(self.ambient)))
         return Subspace.span(self.ambient, vecs)
-
-    def coordinates_of(self, v: Iterable) -> Vec | None:
-        """Coefficients of v in this basis, or None if v is outside the span."""
-        w = list(vec(v))
-        coeffs = [Q(0)] * self.dim
-        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            if w[p] != 0:
-                coeffs[idx] = w[p]
-                f = w[p]
-                w = [x - f * y for x, y in zip(w, row)]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coeffs)
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,14 @@ class Representation:
 
     algebra: LieAlgebra
     mats: tuple[Matrix, ...]
+    module_dim: int | None = None  # read from the matrices when omitted
 
     def __post_init__(self):
         g = self.algebra
         if len(self.mats) != g.dim:
             raise DimensionMismatch("one matrix per basis vector required")
+        if self.module_dim is None:
+            object.__setattr__(self, "module_dim", self.mats[0].nrows if self.mats else 0)
         m = self.module_dim
         for mat in self.mats:
             if mat.nrows != m or mat.cols != m:
@@ -335,10 +338,6 @@ class Representation:
                         f"not a representation on basis pair ({i}, {j})", (i, j)
                     )
 
-    @property
-    def module_dim(self) -> int:
-        return self.mats[0].nrows if self.mats else 0
-
     def act_vector(self, v: Iterable) -> Matrix:
         v = vec(v)
         m = self.module_dim
@@ -350,7 +349,8 @@ class Representation:
 
 
 def trivial_rep(g: LieAlgebra, module_dim: int = 1) -> Representation:
-    return Representation(g, tuple(Matrix.zeros(module_dim, module_dim) for _ in range(g.dim)))
+    return Representation(g, tuple(Matrix.zeros(module_dim, module_dim) for _ in range(g.dim)),
+                          module_dim)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:

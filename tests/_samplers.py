@@ -1,13 +1,15 @@
 """Seeded random generators shared by the test modules.
 
-All sampling is deterministic (random.Random with explicit seeds) and
-produces exact rational data.
+All sampling is deterministic (random.Random with explicit seeds, or
+hypothesis strategies) and produces exact rational data.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from sympla.exactla import Matrix, Q, Subspace, vunit
 from sympla.liealg import (
@@ -23,6 +25,28 @@ from sympla.liealg import (
 from sympla.oxidation import OxidationData
 
 Q0 = Q(0)
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+sparse_rationals = st.one_of(st.just(Fraction(0)), wide_rationals)
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 7)):
+    """Rational matrices with zero, duplicate and dependent rows mixed in."""
+    n, cols = draw(nrows), draw(ncols)
+    rows = [draw(st.lists(sparse_rationals, min_size=cols, max_size=cols)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "dependent")))
+        if kind == "zero" or not rows:
+            extra = [Fraction(0)] * cols
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(wide_rationals), draw(wide_rationals)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return Matrix(tuple(tuple(r) for r in rows), cols)
 
 
 def random_fraction(rng: random.Random, span: int = 3) -> Fraction:

@@ -248,6 +248,15 @@ def test_run_oxidize_and_extend(tmp_path):
     assert payload["dim"] == 4
 
 
+def test_run_oxidize_the_zero_algebra():
+    """The zero algebra with phi = 0 oxidises to the abelian plane <xi, H>."""
+    code, out = run(["oxidize", "catalog:trivial", "--phi", ";"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 2
+    assert payload["oxidized_center_dim"] == 2
+
+
 def test_run_cohomology_with_flat(tmp_path):
     flat_src = tmp_path / "flat.alg"
     flat_src.write_text("dim 2\nnabla 1 1 = 1:1\nnabla 1 2 = 2:1\nnabla 2 1 = 2:1\n")

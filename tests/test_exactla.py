@@ -1,14 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _samplers import matrices, sparse_rationals, wide_rationals
+from sympla import exactla
 from sympla.exactla import (
     Matrix,
     Q,
     Subspace,
+    combine,
+    coordinates,
     orthogonal_complement,
     rational_roots,
     rational_sqrt,
@@ -165,3 +170,145 @@ def test_rational_sqrt_beyond_float_range():
     assert rational_sqrt(Fraction((10**200 + 1) ** 2, 4)) == Fraction(10**200 + 1, 2)
     assert rational_sqrt(Fraction(10**401)) is None
     assert rational_sqrt(Fraction((10**200 + 1) ** 2 + 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against Fraction Gauss-Jordan
+
+
+def rref_oracle(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan on Fraction entries with leftmost pivots; a test-only oracle."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def det_oracle(m: Matrix) -> Fraction:
+    """Determinant by Fraction Gaussian elimination; a test-only oracle."""
+    n = m.nrows
+    work = [list(r) for r in m.rows]
+    det = Q(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        det *= work[c][c]
+        inv = 1 / work[c][c]
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return det
+
+
+def with_oracle(fn, *args):
+    """fn(*args) with every elimination done by rref_oracle."""
+    with mock.patch.object(exactla, "_rref", rref_oracle):
+        return fn(*args)
+
+
+def all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_span_and_kernel_match_the_oracle(m):
+    red, pivots = m.rref()
+    assert (red, pivots) == with_oracle(m.rref)
+    assert all_fractions(red.rows)
+    span = Subspace.span(m.cols, m.rows)
+    assert span == with_oracle(Subspace.span, m.cols, m.rows)
+    assert all_fractions(span.rows)
+    kernel = m.kernel_basis()
+    assert kernel == with_oracle(m.kernel_basis)
+    assert all_fractions(kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_solve_linear_matches_the_oracle(m, data):
+    x = data.draw(st.lists(sparse_rationals, min_size=m.cols, max_size=m.cols))
+    consistent = m.matvec(tuple(x))
+    arbitrary = data.draw(st.lists(wide_rationals, min_size=m.nrows, max_size=m.nrows))
+    for rhs in (consistent, arbitrary):
+        res = solve_linear(m, rhs)
+        assert res == with_oracle(solve_linear, m, rhs)
+        if res.particular is not None:
+            assert all_fractions([res.particular]) and m.matvec(res.particular) == tuple(rhs)
+    # a zero row with a nonzero right-hand side is never solvable
+    padded = Matrix(m.rows + ((Q(0),) * m.cols,), m.cols)
+    rhs = tuple(consistent) + (Q(1),)
+    assert solve_linear(padded, rhs) == with_oracle(solve_linear, padded, rhs)
+    assert not solve_linear(padded, rhs).consistent
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_coordinates_match_the_oracle(m, data):
+    basis = Subspace.span(m.cols, m.rows).rows
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    shuffled = [tuple(Q(rng.randint(1, 3)) * x for x in r) for r in basis]
+    rng.shuffle(shuffled)
+    coeffs = data.draw(st.lists(wide_rationals, min_size=len(basis), max_size=len(basis)))
+    inside = combine(coeffs, shuffled, m.cols)
+    outside = data.draw(st.lists(wide_rationals, min_size=m.cols, max_size=m.cols))
+    for v in (inside, outside):
+        c = coordinates(shuffled, v)
+        assert c == with_oracle(coordinates, shuffled, v)
+        if c is not None:
+            assert all_fractions([c]) and combine(c, shuffled, m.cols) == tuple(v)
+    assert coordinates(shuffled, inside) == tuple(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(nrows=st.shared(st.integers(0, 6), key="n"),
+                ncols=st.shared(st.integers(0, 6), key="n")))
+def test_det_matches_the_oracle(m):
+    if m.nrows != m.cols:  # the inserted extra rows make it tall
+        m = Matrix(m.rows[: m.cols], m.cols)
+    d = m.det()
+    assert d == det_oracle(m)
+    assert type(d) is Fraction
+
+
+def test_det_edge_cases():
+    assert Matrix((), 0).det() == 1
+    assert Matrix.from_rows([[Q(1, 3), Q(1, 2)], [Q(2, 5), Q(-1, 7)]]).det() == \
+        det_oracle(Matrix.from_rows([[Q(1, 3), Q(1, 2)], [Q(2, 5), Q(-1, 7)]]))
+    assert Matrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    with pytest.raises(exactla.DimensionMismatch):
+        Matrix.zeros(2, 3).det()
+
+
+def test_full_is_the_span_of_the_unit_vectors():
+    for n in range(6):
+        full = Subspace.full(n)
+        assert full == with_oracle(Subspace.span, n, [vunit(n, i) for i in range(n)])
+        assert all_fractions(full.rows)
+
+
+def test_rref_of_degenerate_shapes():
+    assert Matrix((), 4).rref() == (Matrix((), 4), ())
+    empty_rows = Matrix(((), (), ()), 0)
+    assert empty_rows.rref() == (empty_rows, ())
+    assert empty_rows.kernel_basis() == ()
+    assert Matrix((), 3).kernel_basis() == (vunit(3, 0), vunit(3, 1), vunit(3, 2))

@@ -222,6 +222,13 @@ def test_coboundary_trivial_rep_degree_one():
         assert image.value_on_combo((i, j))[0] == -lam.evaluate(g.bracket_basis(i, j))[0]
 
 
+def test_trivial_rep_of_the_zero_algebra_keeps_its_module_dim():
+    rep = trivial_rep(LieAlgebra.abelian(0), 2)
+    assert rep.module_dim == 2
+    d0 = coboundary_matrix(rep, 0)
+    assert (d0.nrows, d0.cols) == (0, 2)
+
+
 def test_cohomology_dims(cat):
     g8 = cat("g8").algebra
     coh = cohomology_space(trivial_rep(g8), 2)
