@@ -283,8 +283,7 @@ def test_coordinates_match_the_oracle(m, data):
 @given(matrices(nrows=st.shared(st.integers(0, 6), key="n"),
                 ncols=st.shared(st.integers(0, 6), key="n")))
 def test_det_matches_the_oracle(m):
-    if m.nrows != m.cols:  # the inserted extra rows make it tall
-        m = Matrix(m.rows[: m.cols], m.cols)
+    m = Matrix(m.rows[: m.cols], m.cols)  # drop the extra rows that make it tall
     d = m.det()
     assert d == det_oracle(m)
     assert type(d) is Fraction
@@ -292,8 +291,7 @@ def test_det_matches_the_oracle(m):
 
 def test_det_edge_cases():
     assert Matrix((), 0).det() == 1
-    assert Matrix.from_rows([[Q(1, 3), Q(1, 2)], [Q(2, 5), Q(-1, 7)]]).det() == \
-        det_oracle(Matrix.from_rows([[Q(1, 3), Q(1, 2)], [Q(2, 5), Q(-1, 7)]]))
+    assert Matrix.from_rows([[Q(1, 3), Q(1, 2)], [Q(2, 5), Q(-1, 7)]]).det() == Q(-26, 105)
     assert Matrix.from_rows([[0, 1], [1, 0]]).det() == -1
     with pytest.raises(exactla.DimensionMismatch):
         Matrix.zeros(2, 3).det()
