@@ -36,9 +36,10 @@ from .liealg import (
     LieAlgebra,
     ValidationError,
     bracket_span,
+    brackets_within,
     center,
     centralizer,
-    subspace_algebra_flags,
+    is_ideal,
 )
 from .symplectic import SymplecticLieAlgebra, isotropy_report, omega_orthogonal
 
@@ -236,8 +237,7 @@ def build_envelope_certificate(
         m = abelian_envelope_candidate(g)
         if m is None:
             return None
-    flags = subspace_algebra_flags(g, m)
-    if not (flags.is_ideal and flags.is_abelian):
+    if not (is_ideal(g, m) and brackets_within(g, m, m, Subspace.zero(g.dim))):
         return None
     directions = tuple(
         j for j in range(g.dim) if j not in set(m.pivots)
@@ -285,8 +285,7 @@ def _affine_system_infeasible(forms: list[tuple[Fraction, ...]], nvars: int) -> 
 def verify_no_abelian_escape(s: SymplecticLieAlgebra, cert: EnvelopeCertificate) -> bool:
     """Re-run the symbolic computation stored in the certificate."""
     g = s.algebra
-    flags = subspace_algebra_flags(g, cert.m)
-    if not (flags.is_ideal and flags.is_abelian):
+    if not (is_ideal(g, cert.m) and brackets_within(g, cert.m, cert.m, Subspace.zero(g.dim))):
         return False
     expected_dirs = tuple(j for j in range(g.dim) if j not in set(cert.m.pivots))
     if expected_dirs != cert.directions:
@@ -319,12 +318,8 @@ def abelian_envelope_candidate(g: LieAlgebra) -> Subspace | None:
         return Subspace.zero(0)
     derived = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
     cand = centralizer(g, derived)
-    flags = subspace_algebra_flags(g, cand)
-    if flags.is_ideal and flags.is_abelian:
+    if is_ideal(g, cand) and brackets_within(g, cand, cand, Subspace.zero(g.dim)):
         return cand
-    if flags.is_abelian and not flags.is_ideal:
-        return None
-    # fall back to the centralizer of the whole algebra (the center) extended
     return None
 
 
@@ -437,8 +432,7 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
     irreducible components under commuting adjoint operators with pairwise
     coprime characteristic factors."""
     g = s.algebra
-    flags = subspace_algebra_flags(g, m)
-    if not flags.is_ideal:
+    if not is_ideal(g, m):
         return None
     # adjoint operators restricted to m, keeping a pairwise commuting family
     ops: list[Matrix] = []
@@ -472,7 +466,7 @@ def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap 
         for t, comp in enumerate(ambient_comps):
             if mask & (1 << t):
                 total = total.sum(comp)
-        if subspace_algebra_flags(g, total).is_ideal:
+        if is_ideal(g, total):
             ideals.append(total)
     return InvariantTrap(m, tuple(ambient_comps), tuple(ideals))
 
@@ -499,12 +493,11 @@ def irreducible_structure_certificate(
     if g.dim == 0:
         return None
     a = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
-    fa = subspace_algebra_flags(g, a)
-    if a.dim == 0 or not (fa.is_ideal and fa.is_abelian):
+    zero = Subspace.zero(g.dim)
+    if a.dim == 0 or not (is_ideal(g, a) and brackets_within(g, a, a, zero)):
         return None
     h = omega_orthogonal(s, a)
-    fh = subspace_algebra_flags(g, h)
-    if not (fh.is_subalgebra and fh.is_abelian):
+    if not brackets_within(g, h, h, zero):  # abelian, hence a subalgebra
         return None
     if a.sum(h).dim != g.dim or not a.intersect(h).is_zero():
         return None

@@ -136,6 +136,8 @@ def parse(text: str) -> ParsedFile:
         head = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if head == "dim":
+            if dim is not None:
+                raise ParseError("repeated dim line", lineno)
             try:
                 dim = int(rest)
             except ValueError:
@@ -143,11 +145,15 @@ def parse(text: str) -> ParsedFile:
             if dim < 0:
                 raise ParseError("dim must be nonnegative", lineno)
         elif head == "basis":
+            if labels is not None:
+                raise ParseError("repeated basis line", lineno)
             labels = rest.split()
             if dim is None:
                 raise ParseError("dim must come before basis", lineno)
             if len(labels) != dim:
                 raise ParseError("basis label count differs from dim", lineno)
+            if len(set(labels)) != dim:
+                raise ParseError("basis labels must be distinct", lineno)
         elif head in ("bracket", "omega", "nabla"):
             if dim is None:
                 raise ParseError("dim must come first", lineno)

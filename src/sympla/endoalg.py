@@ -24,6 +24,7 @@ from .exactla import (
     combine,
     coordinates,
     extend_basis,
+    is_invariant,
     orthogonal_complement,
     rational_sqrt,
     vec,
@@ -228,9 +229,9 @@ def _invariant_lagrangian_rec(space: SymplecticVectorSpace, phi: Matrix) -> Subs
 def _check_invariant_maximal_isotropic(space: SymplecticVectorSpace, phi: Matrix, sub: Subspace):
     if sub.dim != space.max_isotropic_dim():
         raise ValidationError("result is not of maximal isotropic dimension")
+    if not is_invariant(sub, [phi]):
+        raise ValidationError("result is not phi-invariant")
     for a in sub.rows:
-        if not sub.contains_vector(phi.matvec(a)):
-            raise ValidationError("result is not phi-invariant")
         for b in sub.rows:
             if space.pair(a, b) != 0:
                 raise ValidationError("result is not isotropic")
@@ -283,9 +284,8 @@ def _check_invariant_family(space: SymplecticVectorSpace, gens: list[Matrix], su
         for b in sub.rows:
             if space.pair(a, b) != 0:
                 raise ValidationError("result is not isotropic")
-        for phi in gens:
-            if not sub.contains_vector(phi.matvec(a)):
-                raise ValidationError("result is not invariant")
+    if not is_invariant(sub, gens):
+        raise ValidationError("result is not invariant")
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,11 @@ def subspace_relate(a: Subspace, b: Subspace) -> SubspaceRelation:
     return SubspaceRelation(inter, total, a.contains(b), b.contains(a))
 
 
+def is_invariant(sub: Subspace, ops: Iterable[Matrix]) -> bool:
+    """Every operator maps sub into itself."""
+    return all(sub.contains_vector(op.matvec(r)) for op in ops for r in sub.rows)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     particular: Vec | None

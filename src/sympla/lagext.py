@@ -41,9 +41,9 @@ from .liealg import (
     combo_index,
     curvature,
     is_flat,
+    is_ideal,
     is_torsion_free,
     semidirect,
-    subspace_algebra_flags,
     torsion,
     trivial_rep,
 )
@@ -139,8 +139,7 @@ class StronglyPolarized:
     def __post_init__(self):
         rep_a = isotropy_report(self.s, self.ideal)
         rep_n = isotropy_report(self.s, self.complement)
-        flags = subspace_algebra_flags(self.s.algebra, self.ideal)
-        if not (rep_a.lagrangian and flags.is_ideal):
+        if not (rep_a.lagrangian and is_ideal(self.s.algebra, self.ideal)):
             raise ValidationError("polarization ideal must be a Lagrangian ideal")
         if not rep_n.lagrangian:
             raise ValidationError("polarization complement must be Lagrangian")

@@ -70,6 +70,9 @@ class LieAlgebra:
             if not (0 <= i < j < n):
                 raise ValidationError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             for k, coeff in entry.items():
+                if not 0 <= k < n:
+                    raise ValidationError(f"bracket ({i}, {j}) has output index {k} "
+                                          f"outside 0..{n - 1}")
                 table[i][j][k] = q(coeff)
                 table[j][i][k] = -q(coeff)
         return LieAlgebra(labels, tuple(tuple(tuple(r) for r in row) for row in table))
@@ -153,6 +156,23 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
         raise DimensionMismatch("subspace ambient dimension mismatch")
     vecs = [g.bracket(x, y) for x in a.rows for y in b.rows]
     return Subspace.span(g.dim, vecs)
+
+
+def brackets_within(g: LieAlgebra, a: Subspace, b: Subspace, target: Subspace) -> bool:
+    """[a, b] is contained in target: one span of target's rows and the brackets.
+
+    Subalgebra: (s, s, s); abelian: (s, s, 0); normal ideal j: (j^perp, j, 0);
+    totally geodesic subalgebra l: (l, l^perp, l^perp).
+    """
+    if not a.ambient == b.ambient == target.ambient == g.dim:
+        raise DimensionMismatch("subspace ambient dimension mismatch")
+    vecs = [g.bracket(x, y) for x in a.rows for y in b.rows]
+    return Subspace.span(g.dim, target.rows + tuple(vecs)).dim == target.dim
+
+
+def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
+    """[g, s] is contained in s."""
+    return brackets_within(g, Subspace.full(g.dim), s, s)
 
 
 @dataclass(frozen=True)
@@ -248,14 +268,8 @@ def solvability_degree(g: LieAlgebra) -> int | None:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """v is central iff ad(e_i) v = 0 for all i."""
-    if g.dim == 0:
-        return Subspace.zero(0)
-    stacked = None
-    for i in range(g.dim):
-        m = g.ad(g.basis_vector(i))
-        stacked = m if stacked is None else stacked.stack(m)
-    return Subspace.span(g.dim, stacked.kernel_basis())
+    """The centralizer of the whole algebra."""
+    return centralizer(g, Subspace.full(g.dim))
 
 
 def killing_radical(g: LieAlgebra) -> Subspace:
@@ -290,21 +304,6 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
         m = g.ad(x).neg()  # [v, x] = -ad(x) v
         stacked = m if stacked is None else stacked.stack(m)
     return Subspace.span(g.dim, stacked.kernel_basis())
-
-
-@dataclass(frozen=True)
-class AlgebraFlags:
-    is_subalgebra: bool
-    is_ideal: bool
-    is_abelian: bool
-
-
-def subspace_algebra_flags(g: LieAlgebra, s: Subspace) -> AlgebraFlags:
-    if s.ambient != g.dim:
-        raise DimensionMismatch("subspace ambient dimension mismatch")
-    ss = bracket_span(g, s, s)
-    gs = bracket_span(g, Subspace.full(g.dim), s)
-    return AlgebraFlags(s.contains(ss), s.contains(gs), ss.is_zero())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .exactla import (
     Vec,
     combine,
     coordinates,
+    is_invariant,
     vec,
     vunit,
 )
@@ -28,15 +29,15 @@ from .liealg import (
     Connection,
     LieAlgebra,
     ValidationError,
-    bracket_span,
+    brackets_within,
     center,
     combos,
     descending_central_series,
     derived_series,
     ascending_central_series,
     is_flat,
+    is_ideal,
     is_torsion_free,
-    subspace_algebra_flags,
     trivial_rep,
     cohomology_space,
 )
@@ -96,7 +97,7 @@ def classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> str:
         return "lagrangian"
     if center(g).contains(j):
         return "central"
-    if bracket_span(g, perp, j).is_zero():
+    if brackets_within(g, perp, j, Subspace.zero(g.dim)):
         return "codim1normal" if j.dim == 1 else "normal"
     return "plain"
 
@@ -104,8 +105,7 @@ def classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> str:
 def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
     """Symplectic reduction (j^perp / j, induced omega) for an isotropic ideal j."""
     g = s.algebra
-    flags = subspace_algebra_flags(g, j)
-    if not flags.is_ideal:
+    if not is_ideal(g, j):
         raise ValidationError("reduction requires an ideal")
     rep = isotropy_report(s, j)
     if not rep.isotropic:
@@ -173,10 +173,10 @@ def quotient_flat_structure(s: SymplecticLieAlgebra, j: Subspace) -> FlatQuotien
     flat connection of the symplectic algebra.
     """
     g = s.algebra
-    if not subspace_algebra_flags(g, j).is_ideal:
+    if not is_ideal(g, j):
         raise ValidationError("quotient flat structure requires an ideal")
     perp = omega_orthogonal(s, j)
-    if not bracket_span(g, perp, j).is_zero():
+    if not brackets_within(g, perp, j, Subspace.zero(g.dim)):
         raise ValidationError("normal ideal criterion [j^perp, j] = 0 fails")
     return _flat_quotient(s, dual_rows(s, j.rows), j.rows, perp.rows)
 
@@ -208,7 +208,7 @@ def normal_reduction_data(
     """Normal reduction data of j; step, when given, is the reduction of s by j."""
     g = s.algebra
     perp = omega_orthogonal(s, j)
-    if not bracket_span(g, perp, j).is_zero():
+    if not brackets_within(g, perp, j, Subspace.zero(g.dim)):
         raise ValidationError("normal reduction requires [j^perp, j] = 0")
     if step is None:
         step = reduce(s, j)
@@ -318,9 +318,8 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
     if direction == "lift":
         if sub.ambient != step.reduced.dim:
             raise DimensionMismatch("subspace must live in the reduced algebra")
-        flags = subspace_algebra_flags(step.reduced.algebra, sub)
-        rep = isotropy_report(step.reduced, sub)
-        if not (flags.is_subalgebra and rep.isotropic):
+        if not (brackets_within(step.reduced.algebra, sub, sub, sub)
+                and isotropy_report(step.reduced, sub).isotropic):
             raise ValidationError("lift requires an isotropic subalgebra of the reduction")
         lifted = step.lift_subspace(sub)
         if not isotropy_report(step.parent, lifted).isotropic:
@@ -330,9 +329,8 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
     if direction == "project":
         if sub.ambient != step.parent.dim:
             raise DimensionMismatch("subspace must live in the parent algebra")
-        flags = subspace_algebra_flags(step.parent.algebra, sub)
         rep = isotropy_report(step.parent, sub)
-        if not (flags.is_subalgebra and rep.isotropic):
+        if not (brackets_within(step.parent.algebra, sub, sub, sub) and rep.isotropic):
             raise ValidationError("projection requires an isotropic subalgebra")
         projected = step.project_subspace(sub)
         prep = isotropy_report(step.reduced, projected)
@@ -358,14 +356,9 @@ def lifted_ideal_is_ideal(step: ReductionStep, sub: Subspace) -> bool:
     try:
         data = normal_reduction_data(step.parent, step.ideal, step)
     except ValidationError:
-        lifted = step.lift_subspace(sub)
-        return subspace_algebra_flags(step.parent.algebra, lifted).is_ideal
-    invariant = all(
-        sub.contains(Subspace.span(sub.ambient, [phi.matvec(r) for r in sub.rows]))
-        for phi in data.phi
-    )
-    lifted = step.lift_subspace(sub)
-    direct = subspace_algebra_flags(step.parent.algebra, lifted).is_ideal
+        return is_ideal(step.parent.algebra, step.lift_subspace(sub))
+    invariant = is_invariant(sub, data.phi)
+    direct = is_ideal(step.parent.algebra, step.lift_subspace(sub))
     if invariant != direct:
         raise ValidationError(
             f"invariance criterion ({invariant}) disagrees with the direct ideal check "
@@ -406,8 +399,7 @@ def run_reduction_sequence(s: SymplecticLieAlgebra, ideals: Sequence[Subspace]) 
     for idx, j in enumerate(ideals):
         if not j.contains(prev) or not prev_perp.contains(j):
             raise ValidationError(f"chain condition fails at step {idx}")
-        flags_in_perp = _is_ideal_in(s.algebra, j, prev_perp)
-        if not flags_in_perp:
+        if not brackets_within(s.algebra, prev_perp, j, j):
             raise ValidationError(f"step {idx}: not an ideal in the previous orthogonal")
         nested.append(j)
         bar_j = j
@@ -419,10 +411,6 @@ def run_reduction_sequence(s: SymplecticLieAlgebra, ideals: Sequence[Subspace]) 
         prev = j
         prev_perp = omega_orthogonal(s, j)
     return ReductionSequence(tuple(steps), tuple(nested))
-
-
-def _is_ideal_in(g: LieAlgebra, j: Subspace, inside: Subspace) -> bool:
-    return inside.contains(j) and j.contains(bracket_span(g, inside, j))
 
 
 def induced_sequence(

@@ -39,6 +39,7 @@ from .exactla import (
     combine,
     coordinates,
     extend_basis,
+    is_invariant,
     rational_sqrt,
     solve_linear,
     vunit,
@@ -48,12 +49,13 @@ from .liealg import (
     ValidationError,
     ascending_central_series,
     bracket_span,
+    brackets_within,
     center,
     descending_central_series,
     derived_series,
+    is_ideal,
     killing_radical,
     nilpotency_class,
-    subspace_algebra_flags,
 )
 from .oxidation import recover_oxidation_data
 from .reduction import ReductionStep, fingerprint, reduce
@@ -65,8 +67,7 @@ from .symplectic import (
 
 
 def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
-    flags = subspace_algebra_flags(s.algebra, sub)
-    return flags.is_ideal and isotropy_report(s, sub).isotropic
+    return is_ideal(s.algebra, sub) and isotropy_report(s, sub).isotropic
 
 
 def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
@@ -236,9 +237,7 @@ class LagrangianIdealResult:
 
 
 def _verify_lagrangian_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> Subspace:
-    flags = subspace_algebra_flags(s.algebra, sub)
-    rep = isotropy_report(s, sub)
-    if not (flags.is_ideal and rep.lagrangian):
+    if not (is_ideal(s.algebra, sub) and isotropy_report(s, sub).lagrangian):
         raise ValidationError("constructed subspace is not a Lagrangian ideal")
     return sub
 
@@ -283,8 +282,9 @@ def _abelian_reduction_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
         return None
     for line in _central_lines(s):
         step = reduce(s, line)
-        if not bracket_span(step.reduced.algebra, Subspace.full(step.reduced.dim),
-                            Subspace.full(step.reduced.dim)).is_zero():
+        n = step.reduced.dim
+        if not brackets_within(step.reduced.algebra, Subspace.full(n), Subspace.full(n),
+                               Subspace.zero(n)):
             continue
         h = line.rows[0]
         # xi with omega(xi, H) = 1
@@ -349,7 +349,7 @@ def _invariant_lagrangian_ideal_in_reduction(
         return None
     if k == 0:
         return Subspace.zero(0) if g.dim == 0 else None
-    if bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim)).is_zero():
+    if brackets_within(g, Subspace.full(g.dim), Subspace.full(g.dim), Subspace.zero(g.dim)):
         # abelian reduction: joint invariant maximal isotropic subspace
         return _joint_invariant_lagrangian(red, phi_ops)
     if k == 2:
@@ -367,9 +367,8 @@ def _invariant_lagrangian_ideal_in_reduction(
         if bar is None:
             return None
         cand = step.lift_subspace(bar)
-        flags = subspace_algebra_flags(g, cand)
-        rep = isotropy_report(red, cand)
-        if flags.is_ideal and rep.lagrangian and _all_invariant(cand, phi_ops):
+        if is_ideal(g, cand) and isotropy_report(red, cand).lagrangian \
+                and is_invariant(cand, phi_ops):
             return cand
         return None
     if k == 3 and g.dim <= 6:
@@ -383,19 +382,17 @@ def _invariant_lagrangian_ideal_in_reduction(
         if bar is None:
             return None
         cand = step.lift_subspace(bar)
-        flags = subspace_algebra_flags(g, cand)
-        if flags.is_ideal and isotropy_report(red, cand).lagrangian \
-                and _all_invariant(cand, phi_ops):
+        if is_ideal(g, cand) and isotropy_report(red, cand).lagrangian \
+                and is_invariant(cand, phi_ops):
             return cand
     return None
 
 
 def _push_operator(step: ReductionStep, op: Matrix) -> Matrix | None:
     """Induced operator on the reduction, when the ideal and orthogonal are stable."""
+    if not is_invariant(step.ideal, [op]):
+        return None
     perp = omega_orthogonal(step.parent, step.ideal)
-    for row in step.ideal.rows:
-        if not step.ideal.contains_vector(op.matvec(row)):
-            return None
     cols = []
     for w in step.w_rows:
         img = op.matvec(w)
@@ -437,14 +434,10 @@ def _joint_invariant_lagrangian(
     seed = current
     if not isotropy_report(red, seed).isotropic:
         return None
-    result = extend_to_maximal_isotropic(space, seed, lambda c: _all_invariant(c, ops))
-    if result.dim == n // 2 and _all_invariant(result, ops):
+    result = extend_to_maximal_isotropic(space, seed, lambda c: is_invariant(c, ops))
+    if result.dim == n // 2 and is_invariant(result, ops):
         return result
     return None
-
-
-def _all_invariant(sub: Subspace, ops: list[Matrix]) -> bool:
-    return all(sub.contains_vector(op.matvec(r)) for op in ops for r in sub.rows)
 
 
 def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
@@ -538,7 +531,7 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
     red = step.reduced
     if red.dim != 6:
         return False
-    if not bracket_span(red.algebra, Subspace.full(6), Subspace.full(6)).is_zero():
+    if not brackets_within(red.algebra, Subspace.full(6), Subspace.full(6), Subspace.zero(6)):
         return False
     ops = _induced_complement_operators(s, step)
     if len(ops) != 2:
@@ -574,9 +567,7 @@ class LagrangianSubalgebraResult:
 
 
 def _verify_lagrangian_subalgebra(s: SymplecticLieAlgebra, sub: Subspace) -> Subspace:
-    flags = subspace_algebra_flags(s.algebra, sub)
-    rep = isotropy_report(s, sub)
-    if not (flags.is_subalgebra and rep.lagrangian):
+    if not (brackets_within(s.algebra, sub, sub, sub) and isotropy_report(s, sub).lagrangian):
         raise ValidationError("constructed subspace is not a Lagrangian subalgebra")
     return sub
 
@@ -719,9 +710,7 @@ def _irreducible_family_lagrangian(
         hvec = combine(coeffs, (h1, h2), s.dim)
         y = g.bracket(hvec, x)
         cand = Subspace.span(s.dim, [hvec, x, y])
-        flags = subspace_algebra_flags(g, cand)
-        rep = isotropy_report(s, cand)
-        if flags.is_subalgebra and rep.lagrangian:
+        if brackets_within(g, cand, cand, cand) and isotropy_report(s, cand).lagrangian:
             return cand
     return None
 

@@ -26,11 +26,10 @@ from .liealg import (
     Connection,
     LieAlgebra,
     ValidationError,
-    bracket_span,
+    brackets_within,
     is_flat,
     is_torsion_free,
     require_valid,
-    subspace_algebra_flags,
 )
 
 
@@ -169,11 +168,10 @@ def induced_connection(
 
 def totally_geodesic_check(s: SymplecticLieAlgebra, l: Subspace) -> bool:
     """[l, l^perp] contained in l^perp, for a subalgebra l."""
-    flags = subspace_algebra_flags(s.algebra, l)
-    if not flags.is_subalgebra:
+    if not brackets_within(s.algebra, l, l, l):
         raise ValidationError("totally geodesic test requires a subalgebra")
     perp = omega_orthogonal(s, l)
-    return perp.contains(bracket_span(s.algebra, l, perp))
+    return brackets_within(s.algebra, l, perp, perp)
 
 
 @dataclass(frozen=True)

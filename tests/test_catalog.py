@@ -9,10 +9,11 @@ from sympla.liealg import (
     LieAlgebra,
     ValidationError,
     bracket_span,
+    brackets_within,
     descending_central_series,
+    is_ideal,
     nilpotency_class,
     solvability_degree,
-    subspace_algebra_flags,
     validate_jacobi,
 )
 from sympla.symplectic import isotropy_report, validate_symplectic
@@ -85,8 +86,7 @@ def test_filiform4_unique_lagrangian(cat):
     e = cat("filiform4")
     c1 = e.marked["C1"]
     rep = isotropy_report(e.symplectic, c1)
-    flags = subspace_algebra_flags(e.algebra, c1)
-    assert rep.lagrangian and flags.is_ideal
+    assert rep.lagrangian and is_ideal(e.algebra, c1)
     # uniqueness: any Lagrangian ideal contains the second descending term and
     # has dimension two, hence equals C1
     from sympla.search import lagrangian_ideal
@@ -98,24 +98,25 @@ def test_filiform4_unique_lagrangian(cat):
 def test_tn_marker_structures(cat):
     e = cat("tn_cotangent", n=3)
     assert isotropy_report(e.symplectic, e.marked["dual_ideal"]).lagrangian
-    flags = subspace_algebra_flags(e.algebra, e.marked["dual_ideal"])
-    assert flags.is_ideal and flags.is_abelian
+    dual = e.marked["dual_ideal"]
+    assert is_ideal(e.algebra, dual)
+    assert brackets_within(e.algebra, dual, dual, Subspace.zero(e.algebra.dim))
 
 
 def test_aff_entry(cat):
     e = cat("aff", n=2)
     assert e.algebra.dim == 6
     t = e.marked["translations"]
-    flags = subspace_algebra_flags(e.algebra, t)
     rep = isotropy_report(e.symplectic, t)
-    assert flags.is_ideal and flags.is_abelian and rep.isotropic
+    assert is_ideal(e.algebra, t) and brackets_within(e.algebra, t, t, Subspace.zero(6))
+    assert rep.isotropic
 
 
 def test_g10_max_abelian_ideal(cat):
     e = cat("g10")
     am = e.marked["am"]
-    flags = subspace_algebra_flags(e.algebra, am)
-    assert flags.is_ideal and flags.is_abelian and am.dim == 8
+    assert is_ideal(e.algebra, am) and brackets_within(e.algebra, am, am, Subspace.zero(10))
+    assert am.dim == 8
     from sympla.certificates import build_envelope_certificate, verify_no_abelian_escape
 
     cert = build_envelope_certificate(e.symplectic)

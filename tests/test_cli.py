@@ -1,16 +1,18 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sympla.cli import USAGE, ParsedFile, parse, run, serialize
 from sympla.catalog import build
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ALGEBRAS = SRC.parent / "algebras"
 
 H3_FILE = """dim 3
 basis X Y Z
@@ -60,6 +62,17 @@ def test_parse_error_reports_line():
     with pytest.raises(ParseError) as err:
         parse("dim 2\nbracket 1 = 2:1\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nbasis a b\ndim 3\nbracket 1 2 = 3:1\n", "line 3: repeated dim line"),
+    ("dim 2\nbasis a b\nbasis c d\n", "line 3: repeated basis line"),
+    ("dim 2\nbasis a a\nbracket a a = 1:1\n", "line 2: basis labels must be distinct"),
+])
+def test_run_rejects_repeated_directives_and_labels(tmp_path, text, message):
+    src = tmp_path / "x.alg"
+    src.write_text(text)
+    assert _error(["validate", str(src)], 2, "parse") == message
 
 
 def test_run_usage_and_unknown():
@@ -224,6 +237,48 @@ def test_run_keeps_its_contract_on_any_command_line(tmp_path, data):
     assert code in (0, 1, 2, 3)
     if out == USAGE:
         return
+    assert out.endswith("}\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    if code in (1, 2):
+        assert set(payload) == {"error", "message"}
+
+
+NUMBER = re.compile(r"-?\d+")
+MUTATION = st.tuples(st.sampled_from(("duplicate", "perturb", "drop", "swap")),
+                     st.integers(0, 99), st.integers(0, 99),
+                     st.sampled_from(("0", "1", "2", "3", "-1", "9", "1/2", "1/0", "x", "")))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(p.name for p in ALGEBRAS.glob("*.alg"))),
+       mutations=st.lists(MUTATION, min_size=1, max_size=4))
+@example(name="filiform4.alg", mutations=[("duplicate", 0, 7, ""), ("perturb", 7, 0, "3")])
+def test_validate_keeps_its_contract_on_mutated_files(tmp_path, name, mutations):
+    """Shipped files with lines duplicated, dropped or swapped and number
+    tokens replaced: ``validate`` returns an exit code in 0..3 and exactly one
+    JSON object, which is an error body whenever the code is 1 or 2.  The
+    explicit example appends a second, smaller ``dim`` line."""
+    lines = (ALGEBRAS / name).read_text().splitlines()
+    for kind, i, j, token in mutations:
+        i %= len(lines)  # four drops still leave three lines
+        if kind == "duplicate":
+            lines.insert(j % (len(lines) + 1), lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            numbers = list(NUMBER.finditer(lines[i]))
+            if numbers:
+                m = numbers[j % len(numbers)]
+                lines[i] = lines[i][:m.start()] + token + lines[i][m.end():]
+    src = tmp_path / "mutated.alg"
+    src.write_text("\n".join(lines) + "\n")
+    code, out = run(["validate", str(src)])
+    assert code in (0, 1, 2, 3)
     assert out.endswith("}\n") and out.count("\n") == 1
     payload = json.loads(out)
     assert isinstance(payload, dict)

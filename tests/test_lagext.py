@@ -25,11 +25,12 @@ from sympla.liealg import (
     Connection,
     LieAlgebra,
     ValidationError,
+    brackets_within,
     coboundary_matrix,
     combos,
+    is_ideal,
     nilpotency_class,
     solvability_degree,
-    subspace_algebra_flags,
 )
 from sympla.symplectic import SymplecticError, isotropy_report
 from sympla.reduction import quotient_flat_structure
@@ -100,8 +101,8 @@ def test_lagrangian_extension_zero_cocycle(cat):
     p = StronglyPolarized(t3.symplectic, t3.marked["dual_ideal"],
                           t3.marked["base_subalg"])
     assert isotropy_report(t3.symplectic, p.ideal).lagrangian
-    flags = subspace_algebra_flags(t3.algebra, p.ideal)
-    assert flags.is_ideal and flags.is_abelian
+    assert is_ideal(t3.algebra, p.ideal)
+    assert brackets_within(t3.algebra, p.ideal, p.ideal, Subspace.zero(t3.algebra.dim))
 
 
 def test_tn_extension_classes(cat):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from _samplers import SMALL_ALGEBRAS, change_of_basis, random_invertible, random_representation
 from sympla.catalog import names as catalog_names
-from sympla.exactla import Matrix, Q, Subspace, vscale, vsub, vunit
+from sympla.exactla import DimensionMismatch, Matrix, Q, Subspace, vscale, vsub, vunit
 from sympla.liealg import (
     Cochain,
     LieAlgebra,
@@ -15,6 +15,7 @@ from sympla.liealg import (
     adjoint_rep,
     ascending_central_series,
     bracket_span,
+    brackets_within,
     center,
     coboundary_apply,
     coboundary_matrix,
@@ -24,13 +25,13 @@ from sympla.liealg import (
     derived_series,
     descending_central_series,
     is_derivation,
+    is_ideal,
     killing_radical,
     matrix_as_two_form,
     matrix_from_flat,
     nilpotency_class,
     semidirect,
     solvability_degree,
-    subspace_algebra_flags,
     trivial_rep,
     two_form_derive,
     validate_jacobi,
@@ -116,16 +117,61 @@ def test_subspace_flags(cat):
     fm = cat("fdim_metab")
     g = fm.algebra
     xy = fm.marked["XY"]
-    flags = subspace_algebra_flags(g, xy)
-    assert flags.is_ideal and flags.is_abelian
+    assert is_ideal(g, xy) and brackets_within(g, xy, xy, Subspace.zero(4))
     hz = Subspace.span(4, [vunit(4, 3), vunit(4, 2)])
-    flags = subspace_algebra_flags(g, hz)
-    assert flags.is_subalgebra and not flags.is_ideal
+    assert brackets_within(g, hz, hz, hz) and not is_ideal(g, hz)
     z = center(g)
-    assert subspace_algebra_flags(g, z).is_ideal
+    assert is_ideal(g, z)
     g10 = cat("g10")
-    flags = subspace_algebra_flags(g10.algebra, g10.marked["am"])
-    assert flags.is_ideal and flags.is_abelian
+    am = g10.marked["am"]
+    assert is_ideal(g10.algebra, am) and brackets_within(g10.algebra, am, am, Subspace.zero(10))
+
+
+ORACLE_ALGEBRAS = ("fdim_metab", "filiform4", "cs6", "irr6", "g8", "g10", "trivial")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_brackets_within_matches_the_span_oracle(cat, data):
+    """[a, b] lies in t exactly when t contains the span of the brackets, the
+    definition the one-span predicate replaced."""
+    g = cat(data.draw(st.sampled_from(ORACLE_ALGEBRAS))).algebra
+    n = g.dim
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        g = change_of_basis(g, *random_invertible(rng, n))
+
+    def subspace(extra=()):
+        # zero and full settle the answer alone, so spans come three times as often
+        kind = data.draw(st.sampled_from(("span", "span", "span", "zero", "full")))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "full":
+            return Subspace.full(n)
+        vector = st.one_of(st.builds(vunit, st.just(n), st.integers(0, max(n - 1, 0))),
+                           st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rows = data.draw(st.lists(vector, min_size=0 if extra else 1, max_size=3))
+        return Subspace.span(n, rows + list(extra))
+
+    a, b = subspace(), subspace()
+    # t often narrowly misses [a, b]: it holds all brackets but at most one
+    brackets = [g.bracket(x, y) for x in a.rows for y in b.rows]
+    skip = data.draw(st.integers(-1, len(brackets) - 1))
+    t = subspace([v for i, v in enumerate(brackets) if i != skip])
+    assert brackets_within(g, a, b, t) == t.contains(bracket_span(g, a, b))
+
+
+def test_brackets_within_rejects_a_subspace_of_another_dimension():
+    g, full3, full4 = heisenberg(), Subspace.full(3), Subspace.full(4)
+    for a, b, t in ((full4, full3, full3), (full3, full4, full3), (full3, full3, full4)):
+        with pytest.raises(DimensionMismatch):
+            brackets_within(g, a, b, t)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_from_brackets_rejects_an_output_index_outside_the_basis(k):
+    with pytest.raises(ValidationError):
+        LieAlgebra.from_brackets(2, {(0, 1): {k: 1}})
 
 
 def test_center_examples(cat):

@@ -13,6 +13,7 @@ from sympla.exactla import (
     combine,
     coordinates,
     extend_basis,
+    is_invariant,
     solve_linear,
     vunit,
 )
@@ -81,6 +82,16 @@ def test_dependent_rows_raise(nr, data):
 def test_row_length_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         coordinates(((Q(1), Q(0)),), (1, 0, 0))
+
+
+def test_is_invariant_checks_every_operator_on_every_row():
+    shift = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 3)  # e1 -> e2 -> e3 -> 0
+    fold = Matrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 0]], 3)  # e3 -> e1, e1 and e2 fixed
+    tail = Subspace.span(3, [vunit(3, 1), vunit(3, 2)])
+    assert is_invariant(tail, [Matrix.identity(3), shift])
+    assert not is_invariant(tail, [Matrix.identity(3), fold])  # only the last row leaves
+    assert not is_invariant(Subspace.span(3, [vunit(3, 0)]), [Matrix.identity(3), shift])
+    assert is_invariant(Subspace.zero(3), [shift]) and is_invariant(Subspace.full(3), [shift])
 
 
 def test_extend_basis_takes_the_first_independent_candidates():
