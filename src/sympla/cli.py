@@ -119,6 +119,8 @@ def parse(text: str) -> ParsedFile:
     def resolve(tok: str, line: int) -> int:
         tok = tok.strip()
         if labels is not None and tok in labels:
+            if labels.count(tok) > 1:
+                raise ParseError(f"basis token {tok!r} names more than one basis vector", line)
             return labels.index(tok)
         try:
             idx = int(tok)
@@ -152,8 +154,6 @@ def parse(text: str) -> ParsedFile:
                 raise ParseError("dim must come before basis", lineno)
             if len(labels) != dim:
                 raise ParseError("basis label count differs from dim", lineno)
-            if len(set(labels)) != dim:
-                raise ParseError("basis labels must be distinct", lineno)
         elif head in ("bracket", "omega", "nabla"):
             if dim is None:
                 raise ParseError("dim must come first", lineno)

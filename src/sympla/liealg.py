@@ -159,15 +159,14 @@ def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def brackets_within(g: LieAlgebra, a: Subspace, b: Subspace, target: Subspace) -> bool:
-    """[a, b] is contained in target: one span of target's rows and the brackets.
+    """[a, b] is contained in target.
 
     Subalgebra: (s, s, s); abelian: (s, s, 0); normal ideal j: (j^perp, j, 0);
     totally geodesic subalgebra l: (l, l^perp, l^perp).
     """
-    if not a.ambient == b.ambient == target.ambient == g.dim:
+    if target.ambient != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    vecs = [g.bracket(x, y) for x in a.rows for y in b.rows]
-    return Subspace.span(g.dim, target.rows + tuple(vecs)).dim == target.dim
+    return target.contains(bracket_span(g, a, b))
 
 
 def is_ideal(g: LieAlgebra, s: Subspace) -> bool:

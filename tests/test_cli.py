@@ -67,9 +67,10 @@ def test_parse_error_reports_line():
 @pytest.mark.parametrize("text, message", [
     ("dim 2\nbasis a b\ndim 3\nbracket 1 2 = 3:1\n", "line 3: repeated dim line"),
     ("dim 2\nbasis a b\nbasis c d\n", "line 3: repeated basis line"),
-    ("dim 2\nbasis a a\nbracket a a = 1:1\n", "line 2: basis labels must be distinct"),
+    ("dim 3\nbasis a a b\nbracket a b = 1:1\n",
+     "line 3: basis token 'a' names more than one basis vector"),
 ])
-def test_run_rejects_repeated_directives_and_labels(tmp_path, text, message):
+def test_run_rejects_repeated_directives_and_ambiguous_labels(tmp_path, text, message):
     src = tmp_path / "x.alg"
     src.write_text(text)
     assert _error(["validate", str(src)], 2, "parse") == message
@@ -301,6 +302,21 @@ def test_run_oxidize_and_extend(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["dim"] == 4
+
+
+def test_oxidize_output_validates_and_oxidizes_again(tmp_path):
+    """Oxidation labels its new vectors xi and H whatever the source labels
+    are, and the file it writes uses indices, so a repeated label in it is
+    never ambiguous: fdim_metab (which has an H) oxidized twice stays valid."""
+    src = ALGEBRAS / "fdim_metab.alg"
+    for n in (4, 6):
+        code, out = run(["oxidize", str(src), "--phi", ";".join([",".join("0" * n)] * n)])
+        assert code == 0
+        src = tmp_path / f"ox{n}.alg"
+        src.write_text(json.loads(out)["file"])
+        code, out = run(["validate", str(src)])
+        assert code == 0 and json.loads(out)["dim"] == n + 2
+    assert src.read_text().startswith("dim 8\nbasis xi xi X Y Z H H H\n")
 
 
 def test_run_oxidize_the_zero_algebra():
