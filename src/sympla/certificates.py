@@ -94,16 +94,12 @@ def sym_bracket(g: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
     for i in range(g.dim):
         if not u[i]:
             continue
-        for j in range(g.dim):
-            if not v[j]:
-                continue
-            cij = g.bracket_basis(i, j)
-            if all(c == 0 for c in cij):
+        for j, entries in enumerate(g.nonzero[i]):
+            if not (entries and v[j]):
                 continue
             prod = poly_mul(u[i], v[j])
-            for k, c in enumerate(cij):
-                if c != 0:
-                    out[k] = poly_add(out[k], poly_scale(c, prod))
+            for k, c in entries:
+                out[k] = poly_add(out[k], poly_scale(c, prod))
     return out
 
 

@@ -241,7 +241,7 @@ def serialize(parsed: ParsedFile) -> str:
     lines = [f"dim {n}", "basis " + " ".join(g.labels)]
     for i in range(n):
         for j in range(i + 1, n):
-            entries = [(k, c) for k, c in enumerate(g.bracket_basis(i, j)) if c != 0]
+            entries = g.nonzero[i][j]
             if entries:
                 rhs = ", ".join(f"{k+1}:{c}" for k, c in entries)
                 lines.append(f"bracket {i+1} {j+1} = {rhs}")

@@ -11,6 +11,7 @@ row-echelon form so that equal subspaces compare equal as tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,7 @@ def vzero(n: int) -> Vec:
     return (Q(0),) * n
 
 
+@functools.lru_cache(maxsize=None)
 def vunit(n: int, i: int) -> Vec:
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
@@ -467,51 +469,100 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], a: Matrix) -> Matrix:
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of the polynomial with the given coefficients."""
+    """All rational roots, ascending, of the polynomial with coefficients c_0, c_1, ...
+
+    With denominators cleared and the root 0 split off, p(x) = sum a_i x^i of
+    degree n becomes the monic integer polynomial m(y) = a_n^(n-1) p(y / a_n),
+    whose rational roots are integers of absolute value at most Cauchy's bound
+    1 + max |m_i|.  Those are found by :func:`_integer_roots`, so the cost
+    grows with the bit length of the coefficients, not with their size.
+    """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    shift = 0
-    while ints and ints[0] == 0:
+    roots = [Q(0)] if ints[0] == 0 else []
+    while ints[0] == 0:
         ints.pop(0)
-        shift += 1
-    roots = [Q(0)] if shift else []
-    if not ints:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for qd in _divisors(an):
-            for cand in (Q(p, qd), Q(-p, qd)):
-                if cand not in roots and _poly_eval(coeffs, cand) == 0:
-                    roots.append(cand)
+    n, lead = len(ints) - 1, ints[-1]
+    monic = [a * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    return sorted(roots + [Q(y, lead) for y in _integer_roots(monic)])
+
+
+def _integer_roots(monic: list[int]) -> list[int]:
+    """Integer roots of a monic integer polynomial (c_0 first).
+
+    The Sturm sequence of the square-free part counts the distinct real roots
+    in an integer interval (lo, hi] as V(lo) - V(hi), V the sign variations.
+    Bisecting every interval that holds a root down to width one leaves the
+    single integer candidate hi, which is tested exactly.
+    """
+    if len(monic) == 1:
+        return []
+    p = [Q(c) for c in monic]
+    square_free = _poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
+    sturm = [square_free, _poly_derivative(square_free)]
+    while True:
+        r = _poly_divmod(sturm[-2], sturm[-1])[1]
+        if not r:
+            break
+        sturm.append([-c for c in r])
+    # positive multiples with integer coefficients keep every sign
+    sturm = [[int(c * math.lcm(*(x.denominator for x in s))) for c in s] for s in sturm]
+
+    def variations(x: int) -> int:
+        signs = [v > 0 for v in (_int_poly_eval(s, x) for s in sturm) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    bound = 1 + max(abs(c) for c in monic[:-1])
+    roots = []
+    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _int_poly_eval(monic, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Q(0)
-    for c in reversed(list(coeffs)):
+def _int_poly_eval(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    divs = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.add(d)
-            divs.add(n // d)
-        d += 1
-    return sorted(divs)
+def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q; b has a nonzero leading coefficient."""
+    rem = list(a)
+    quot = [Q(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        shift, c = len(rem) - len(b), rem[-1] / b[-1]
+        quot[shift] = c
+        for t, x in enumerate(b):
+            rem[shift + t] -= c * x
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -44,7 +44,8 @@ class LieAlgebra:
 
     Antisymmetry is enforced by the constructors; the Jacobi identity is
     checked separately by :func:`validate_jacobi` so that defective tables can
-    still be built and diagnosed.
+    still be built and diagnosed.  ``table`` is the stored (and compared)
+    form; every computation reads the constants through ``nonzero``.
     """
 
     labels: tuple[str, ...]
@@ -53,6 +54,12 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def nonzero(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """nonzero[i][j] = ((k, c_ij^k), ...) over the nonzero constants, k ascending."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+                     for row in self.table)
 
     @staticmethod
     def from_brackets(
@@ -92,23 +99,31 @@ class LieAlgebra:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket argument dimension mismatch")
         out = list(vzero(self.dim))
+        v_support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if a == 0:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = a * b
-                for k, t in enumerate(self.table[i][j]):
-                    if t != 0:
+            row = self.nonzero[i]
+            for j, b in v_support:
+                if row[j]:
+                    c = a * b
+                    for k, t in row[j]:
                         out[k] += c * t
         return tuple(out)
 
     def ad(self, v: Iterable) -> Matrix:
-        """Matrix of ad(v): x -> [v, x]."""
+        """Matrix of ad(v): x -> [v, x], entry (k, j) = sum_i v_i c_ij^k."""
         v = vec(v)
-        cols = [self.bracket(v, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(tuple(cols), self.dim).transpose()
+        if len(v) != self.dim:
+            raise DimensionMismatch("bracket argument dimension mismatch")
+        rows = [list(vzero(self.dim)) for _ in range(self.dim)]
+        for i, a in enumerate(v):
+            if a == 0:
+                continue
+            for j, entries in enumerate(self.nonzero[i]):
+                for k, c in entries:
+                    rows[k][j] += a * c
+        return Matrix(tuple(map(tuple, rows)), self.dim)
 
     def relabel(self, labels: Sequence[str]) -> "LieAlgebra":
         if len(labels) != self.dim:
@@ -126,10 +141,14 @@ class JacobiReport:
 
 
 def jacobi_defect(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
-    a = g.bracket(g.bracket_basis(i, j), g.basis_vector(k))
-    b = g.bracket(g.bracket_basis(j, k), g.basis_vector(i))
-    c = g.bracket(g.bracket_basis(k, i), g.basis_vector(j))
-    return vadd(vadd(a, b), c)
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] = sum c_ab^l c_lc^m e_m."""
+    out = list(vzero(g.dim))
+    nz = g.nonzero
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, x in nz[a][b]:
+            for m, y in nz[l][c]:
+                out[m] += x * y
+    return tuple(out)
 
 
 def validate_jacobi(g: LieAlgebra) -> JacobiReport:
@@ -487,8 +506,8 @@ def coboundary_matrix(rep: Representation, degree: int) -> Matrix:
                 rows[base + a][col + b] += v if r % 2 == 0 else -v
         for r, s in itertools.combinations(range(len(combo)), 2):
             rest = combo[:r] + combo[r + 1:s] + combo[s + 1:]
-            for l, v in enumerate(g.table[combo[r]][combo[s]]):
-                if not v or l in rest:
+            for l, v in g.nonzero[combo[r]][combo[s]]:
+                if l in rest:
                     continue
                 # moving l from the front to its sorted place costs (-1)^pos
                 pos = sum(1 for y in rest if y < l)
@@ -618,11 +637,7 @@ def semidirect(h: LieAlgebra, module: Representation, cocycle: Cochain | None = 
         raise DimensionMismatch("cocycle must be a degree-2 cochain on h with module values")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j in combos(h.dim, 2):
-        entry: dict[int, Fraction] = {}
-        hb = h.bracket_basis(i, j)
-        for k, c in enumerate(hb):
-            if c != 0:
-                entry[k] = c
+        entry: dict[int, Fraction] = dict(h.nonzero[i][j])
         cval = cocycle.value_on_combo((i, j))
         for t, c in enumerate(cval):
             if c != 0:

@@ -74,7 +74,7 @@ def central_oxidation(data: OxidationData) -> LieAlgebra:
     labels = ("xi",) + tuple(g.labels) + ("H",)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j in combos(n, 2):
-        entry = {1 + k: c for k, c in enumerate(g.bracket_basis(i, j)) if c != 0}
+        entry = {1 + k: c for k, c in g.nonzero[i][j]}
         a = data.alpha.value_on_combo((i, j))[0]
         if a != 0:
             entry[n + 1] = a

@@ -139,9 +139,10 @@ def _coordinate_ideals(s: SymplecticLieAlgebra) -> Iterator[Subspace]:
     """
     n = s.dim
     closure = [1 << i for i in range(n)]
-    for row in s.algebra.table:
-        for i, v in enumerate(row):
-            closure[i] |= _support(v)
+    for row in s.algebra.nonzero:
+        for i, entries in enumerate(row):
+            for k, _ in entries:
+                closure[i] |= 1 << k
     for k in range(n):  # Warshall: whatever reaches k reaches all k reaches
         for i in range(n):
             if closure[i] >> k & 1:

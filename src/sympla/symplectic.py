@@ -7,6 +7,7 @@ isotropic decompositions g = N + W + j.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,16 +52,16 @@ class SymplecticLieAlgebra:
 
 
 def closedness_violations(g: LieAlgebra, omega: Matrix) -> list[tuple[int, int, int, Fraction]]:
+    """Basis triples i < j < k where d omega = omega([e_i, e_j], e_k) + cyclic is not 0."""
     bad = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                ei, ej, ek = (g.basis_vector(t) for t in (i, j, k))
-                s = bilinear(omega, g.bracket_basis(i, j), ek)
-                s += bilinear(omega, g.bracket(ek, ei), ej)
-                s += bilinear(omega, g.bracket_basis(j, k), ei)
-                if s != 0:
-                    bad.append((i, j, k, s))
+    nz, w = g.nonzero, omega.rows
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        s = Q(0)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in nz[a][b]:
+                s += x * w[l][c]
+        if s != 0:
+            bad.append((i, j, k, s))
     return bad
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -155,6 +156,29 @@ def test_charpoly_and_rational_roots():
     assert rational_roots(charpoly(m)) == [Q(2), Q(3)]
     rot = Matrix.from_rows([[0, 1], [-1, 0]], 2)
     assert rational_roots(charpoly(rot)) == []
+
+
+def test_rational_roots_examples():
+    assert rational_roots([]) == rational_roots([Q(0)]) == rational_roots([Q(5)]) == []
+    assert rational_roots([Q(0), Q(0), Q(3)]) == [Q(0)]
+    assert rational_roots([Q(1), Q(-2), Q(1)]) == [Q(1)]  # a double root
+    assert rational_roots([Q(-1, 2), Q(0), Q(2)]) == [Q(-1, 2), Q(1, 2)]
+    # x(6x^3 - 7x^2 + 1) = x(x - 1)(2x - 1)(3x + 1)
+    assert rational_roots([Q(0), Q(1), Q(0), Q(-7), Q(6)]) == [Q(-1, 3), Q(0), Q(1, 2), Q(1)]
+    # x^2 + 1/4 has no real root; x^2 - 1/4 has two
+    assert rational_roots([Q(1, 4), Q(0), Q(1)]) == []
+    assert rational_roots([Q(-1, 4), Q(0), Q(1)]) == [Q(-1, 2), Q(1, 2)]
+
+
+def test_rational_roots_does_not_factor_the_constant_term():
+    """x^2 - 7 * 1000003 * 1000033 * 1000037 has no rational root; trial
+    division of the constant term would take hours."""
+    start = time.perf_counter()
+    assert rational_roots([Q(-7 * 1000003 * 1000033 * 1000037), Q(0), Q(1)]) == []
+    big = 1000003 * 1000033
+    assert rational_roots([Q(-big * 1000037), Q(big + 1000037), Q(-1)]) \
+        == [Q(1000037), Q(big)]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rational_sqrt():

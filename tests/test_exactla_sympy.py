@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _samplers import matrices
-from sympla.exactla import Matrix, charpoly
+from _samplers import matrices, sparse_rationals, wide_rationals
+from sympla.exactla import Matrix, charpoly, rational_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,3 +46,26 @@ def test_det_and_charpoly_match_sympy(m):
     assert m.det() == from_sympy(sm.det())
     coeffs = sm.charpoly().all_coeffs()
     assert charpoly(m) == tuple(from_sympy(c) for c in reversed(coeffs))
+
+
+@st.composite
+def polynomials_with_roots(draw):
+    """Coefficients (c_0 first) of a product of rational linear factors and a
+    random cofactor, so that rational roots, repeated ones and irrational or
+    complex ones all occur."""
+    coeffs = draw(st.lists(sparse_rationals, min_size=0, max_size=4))
+    for root in draw(st.lists(wide_rationals, max_size=4)):
+        coeffs = [b - root * a for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
+    return coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials_with_roots())
+def test_rational_roots_match_sympy(coeffs):
+    x = sympy.Symbol("x")
+    expected = []
+    if any(coeffs):
+        poly = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                         for c in coeffs])), x, domain="QQ")
+        expected = sorted(from_sympy(r) for r in sympy.roots(poly, filter="Q"))
+    assert rational_roots(coeffs) == expected

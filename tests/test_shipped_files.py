@@ -56,3 +56,22 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_structure_constants_read_through_nonzero():
+    """Outside ``class LieAlgebra`` the constants are read through
+    ``LieAlgebra.nonzero`` (or ``bracket_basis``); ``.table`` appears only as an
+    operand of a comparison, so no dense scan of the table comes back."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
+                allowed.update(id(n) for n in ast.walk(node))
+            elif isinstance(node, ast.Compare):
+                allowed.update(id(n) for n in (node.left, *node.comparators))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "table"
+                  and id(node) not in allowed]
+    assert found == []
