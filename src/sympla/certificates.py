@@ -27,6 +27,7 @@ from .exactla import (
     charpoly,
     combine,
     coordinates,
+    poly_divmod,
     poly_eval_matrix,
     rational_roots,
     rational_sqrt,
@@ -341,24 +342,6 @@ def _restrict(op: Matrix, sub: Subspace) -> Matrix | None:
     return Matrix(tuple(cols), sub.dim).transpose() if sub.dim else Matrix((), 0)
 
 
-def _poly_divide(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    out = [Q(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(x != 0 for x in num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        f = num[-1] / den[-1]
-        out[shift] = f
-        for i, d in enumerate(den):
-            num[shift + i] -= f * d
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
 def _split_by_operator(sub: Subspace, op_on_sub: Matrix) -> list[Subspace] | None:
     """Primary split along rational eigenvalues; pieces in sub's own coordinates."""
     d = sub.dim
@@ -372,7 +355,7 @@ def _split_by_operator(sub: Subspace, op_on_sub: Matrix) -> list[Subspace] | Non
         # multiplicity of the root
         mult = 0
         while True:
-            quo, rem = _poly_divide(rest, [-r, Q(1)])
+            quo, rem = poly_divmod(rest, [-r, Q(1)])
             if rem:
                 break
             rest = quo

@@ -503,10 +503,10 @@ def _integer_roots(monic: list[int]) -> list[int]:
     if len(monic) == 1:
         return []
     p = [Q(c) for c in monic]
-    square_free = _poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
+    square_free = poly_divmod(p, _poly_gcd(p, _poly_derivative(p)))[0]
     sturm = [square_free, _poly_derivative(square_free)]
     while True:
-        r = _poly_divmod(sturm[-2], sturm[-1])[1]
+        r = poly_divmod(sturm[-2], sturm[-1])[1]
         if not r:
             break
         sturm.append([-c for c in r])
@@ -545,23 +545,27 @@ def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder over Q; b has a nonzero leading coefficient."""
+def poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q, coefficients lowest first; b has a
+    nonzero leading coefficient and the remainder has no trailing zeros."""
     rem = list(a)
     quot = [Q(0)] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        shift, c = len(rem) - len(b), rem[-1] / b[-1]
-        quot[shift] = c
-        for t, x in enumerate(b):
-            rem[shift + t] -= c * x
-        while rem and rem[-1] == 0:
+    while rem:
+        if rem[-1] == 0:
             rem.pop()
+        elif len(rem) >= len(b):
+            shift, c = len(rem) - len(b), rem[-1] / b[-1]
+            quot[shift] = c
+            for t, x in enumerate(b):
+                rem[shift + t] -= c * x
+        else:
+            break
     return quot, rem
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a
 
 

@@ -45,7 +45,8 @@ class LieAlgebra:
     Antisymmetry is enforced by the constructors; the Jacobi identity is
     checked separately by :func:`validate_jacobi` so that defective tables can
     still be built and diagnosed.  ``table`` is the stored (and compared)
-    form; every computation reads the constants through ``nonzero``.
+    form.  Every loop over the constants reads ``nonzero``; ``bracket_basis``
+    hands out the whole vector [e_i, e_j] to code that maps or compares it.
     """
 
     labels: tuple[str, ...]
@@ -567,20 +568,21 @@ def is_derivation(g: LieAlgebra, phi: Matrix) -> bool:
 
 def derivation_algebra(g: LieAlgebra) -> Subspace:
     """Derivations as a subspace of End(g), row-major flattened coordinates."""
-    n = g.dim
+    n, nz = g.dim, g.nonzero
     rows = []
     for i, j in itertools.combinations(range(n), 2):
-        cij = g.bracket_basis(i, j)
-        for k in range(n):
-            # coefficient of phi_{k,l} in (phi [e_i,e_j] - [phi e_i, e_j] - [e_i, phi e_j])_k
-            row = [Q(0)] * (n * n)
-            for l in range(n):
-                row[k * n + l] += cij[l]
-            for l in range(n):
-                # phi e_i = sum_l phi_{l,i} e_l contributes -[e_l, e_j]_k * phi_{l,i}
-                row[l * n + i] -= g.bracket_basis(l, j)[k]
-                row[l * n + j] -= g.bracket_basis(i, l)[k]
-            rows.append(tuple(row))
+        # row k: coefficients of the phi_{a,b} in (phi [e_i,e_j] - [phi e_i, e_j] - [e_i, phi e_j])_k
+        block = [[Q(0)] * (n * n) for _ in range(n)]
+        for l, c in nz[i][j]:
+            for k in range(n):
+                block[k][k * n + l] += c
+        for l in range(n):
+            # phi e_i = sum_l phi_{l,i} e_l contributes -[e_l, e_j]_k * phi_{l,i}
+            for k, c in nz[l][j]:
+                block[k][l * n + i] -= c
+            for k, c in nz[i][l]:
+                block[k][l * n + j] -= c
+        rows += map(tuple, block)
     if not rows:
         return Subspace.full(n * n)
     return Subspace.span(n * n, Matrix(tuple(rows), n * n).kernel_basis())

@@ -16,6 +16,7 @@ from sympla.exactla import (
     combine,
     coordinates,
     orthogonal_complement,
+    poly_divmod,
     rational_roots,
     rational_sqrt,
     solve_linear,
@@ -179,6 +180,22 @@ def test_rational_roots_does_not_factor_the_constant_term():
     assert rational_roots([Q(-big * 1000037), Q(big + 1000037), Q(-1)]) \
         == [Q(1000037), Q(big)]
     assert time.perf_counter() - start < 1.0
+
+
+@given(st.lists(rationals, max_size=6),
+       st.lists(rationals, max_size=4).map(lambda c: c + [Q(1, 2)]))
+def test_poly_divmod_reconstructs_the_dividend(a, b):
+    """a = q*b + r with deg r < deg b and no trailing zeros in r."""
+    quot, rem = poly_divmod(a, b)
+    product = [Q(0)] * max(len(a), len(quot) + len(b) - 1, len(rem))
+    for i, x in enumerate(quot):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    for i, x in enumerate(rem):
+        product[i] += x
+    padded = list(a) + [Q(0)] * (len(product) - len(a))
+    assert product == padded
+    assert len(rem) < len(b) and (not rem or rem[-1] != 0)
 
 
 def test_rational_sqrt():

@@ -58,20 +58,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _indexes_bracket_basis(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "bracket_basis")
+
+
 def test_structure_constants_read_through_nonzero():
-    """Outside ``class LieAlgebra`` the constants are read through
-    ``LieAlgebra.nonzero`` (or ``bracket_basis``); ``.table`` appears only as an
-    operand of a comparison, so no dense scan of the table comes back."""
+    """Outside ``class LieAlgebra`` the constants are scanned through
+    ``LieAlgebra.nonzero``: ``.table`` appears only as an operand of a
+    comparison, and a ``bracket_basis(i, j)`` vector is used whole (mapped or
+    compared), never indexed entry by entry, so no dense scan comes back."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
+        in_class, compared = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name == "LieAlgebra":
-                allowed.update(id(n) for n in ast.walk(node))
+                in_class.update(id(n) for n in ast.walk(node))
             elif isinstance(node, ast.Compare):
-                allowed.update(id(n) for n in (node.left, *node.comparators))
+                compared.update(id(n) for n in (node.left, *node.comparators))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "table"
-                  and id(node) not in allowed]
+                  if id(node) not in in_class and (
+                      isinstance(node, ast.Attribute) and node.attr == "table"
+                      and id(node) not in compared
+                      or _indexes_bracket_basis(node))]
     assert found == []

@@ -1,7 +1,7 @@
 """The sparse structure-constant kernel against the dense scans it replaced.
 
-``bracket``, ``ad``, ``validate_jacobi`` and ``closedness_violations`` read
-``LieAlgebra.nonzero``.  The oracles below read every entry of
+``bracket``, ``ad``, ``validate_jacobi``, ``closedness_violations`` and
+``derivation_algebra`` read ``LieAlgebra.nonzero``.  The oracles below read every entry of
 ``LieAlgebra.table`` and go through one dense bracket at a time; they are the
 package's routines as they were before the sparse view, kept only here.
 """
@@ -9,12 +9,15 @@ package's routines as they were before the sparse view, kept only here.
 import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _samplers import change_of_basis, random_invertible, random_skew, sparse_rationals
 from sympla.catalog import names as catalog_names
-from sympla.exactla import Matrix, Q, bilinear, is_zero_vec, vadd, vec, vunit, vzero
-from sympla.liealg import LieAlgebra, combos, validate_jacobi
+from sympla.exactla import (
+    Matrix, Q, Subspace, bilinear, is_zero_vec, vadd, vec, vunit, vzero,
+)
+from sympla.liealg import LieAlgebra, combos, derivation_algebra, validate_jacobi
 from sympla.symplectic import closedness_violations
 
 
@@ -65,6 +68,24 @@ def closedness_oracle(g: LieAlgebra, omega: Matrix):
         if s != 0:
             bad.append((i, j, k, s))
     return bad
+
+
+def derivation_oracle(g: LieAlgebra) -> Subspace:
+    n = g.dim
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        cij = g.table[i][j]
+        for k in range(n):
+            row = [Q(0)] * (n * n)
+            for l in range(n):
+                row[k * n + l] += cij[l]
+            for l in range(n):
+                row[l * n + i] -= g.table[l][j][k]
+                row[l * n + j] -= g.table[i][l][k]
+            rows.append(tuple(row))
+    if not rows:
+        return Subspace.full(n * n)
+    return Subspace.span(n * n, Matrix(tuple(rows), n * n).kernel_basis())
 
 
 def random_vectors(rng: random.Random, n: int, count: int = 4):
@@ -121,4 +142,17 @@ def test_sparse_kernel_matches_the_dense_oracles_on_broken_tables(g, seed):
     omega = random_skew(rng, g.dim)
     assume(jacobi_violations_oracle(g) and closedness_oracle(g, omega))
     assert_kernel_matches_oracles(g, (omega,), rng)
+    assert derivation_algebra(g) == derivation_oracle(g)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_derivation_algebra_matches_the_dense_oracle_on_the_catalog(cat, name):
+    """Each catalog algebra as built and, up to dimension 8, after a change of
+    basis that fills in the constants."""
+    g = cat(name).algebra
+    assert derivation_algebra(g) == derivation_oracle(g)
+    if 0 < g.dim <= 8:
+        p, p_inv = random_invertible(random.Random(name), g.dim)
+        h = change_of_basis(g, p, p_inv)
+        assert derivation_algebra(h) == derivation_oracle(h)
 
