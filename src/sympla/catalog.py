@@ -14,17 +14,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Q, Subspace, q, vunit
+from .exactla import Matrix, Q, Subspace, gram, q, vunit
 from .lagext import ExtensionTriple, FlatLieAlgebra, lagrangian_extension
 from .liealg import (
     Cochain,
     Connection,
     LieAlgebra,
     ValidationError,
-    combos,
     matrix_as_two_form,
     require_valid,
     trivial_rep,
+    two_form_as_matrix,
     two_form_derive,
     coboundary_matrix,
 )
@@ -88,7 +88,7 @@ def _build_fdim_metab() -> CatalogEntry:
             (2, 3): {2: 1},   # [Z, H] = Z
         },
     ))
-    omega = _two_form(4, {(0, 1): 1, (3, 2): 1})
+    omega = Matrix.skew(4, {(0, 1): 1, (3, 2): 1})
     s = validate_symplectic(g, omega)
     marked = {
         "Zline": Subspace.span(4, [vunit(4, 2)]),
@@ -114,7 +114,7 @@ def _build_cs6(mu1=1, mu2=1) -> CatalogEntry:
             (1, 5): {5: -mu2},
         },
     ))
-    omega = _two_form(6, {(2, 3): 1, (4, 5): 1, (0, 1): 1})
+    omega = Matrix.skew(6, {(2, 3): 1, (4, 5): 1, (0, 1): 1})
     s = validate_symplectic(g, omega)
     marked = {
         "V4": Subspace.span(6, [vunit(6, i) for i in (2, 3, 4, 5)]),
@@ -154,7 +154,7 @@ def g8_oxidation_data() -> OxidationData:
         ("X", "Y", "Z", "Xp", "Yp", "Zp"),
         {(0, 1): {2: 1}, (3, 4): {5: 1}},
     ))
-    omega_bar = _two_form(6, {(0, 2): 1, (3, 5): 1, (1, 4): 1})
+    omega_bar = Matrix.skew(6, {(0, 2): 1, (3, 5): 1, (1, 4): 1})
     phi_rows = [[Q(0)] * 6 for _ in range(6)]
     phi_rows[0][1] = Q(1)  # Y -> X
     phi_rows[3][4] = Q(1)  # Y' -> X'
@@ -191,7 +191,7 @@ def _build_g10() -> CatalogEntry:
             (2, 6): {8: 1}, (3, 7): {8: 1},    # [u_i, w_i] = z1
         },
     ))
-    omega = _two_form(10, {(0, 8): 1, (1, 9): 1, (2, 3): 1, (4, 6): 1, (5, 7): 1})
+    omega = Matrix.skew(10, {(0, 8): 1, (1, 9): 1, (2, 3): 1, (4, 6): 1, (5, 7): 1})
     s = validate_symplectic(g, omega)
     marked = {
         "j4": Subspace.span(10, [vunit(10, 1), vunit(10, 6), vunit(10, 7), vunit(10, 8)]),
@@ -361,7 +361,7 @@ def _build_gklambda(k=1, characters=((1, 0), (0, 1)), omega_entries=None) -> Cat
             omega_entries[(2 * i, 2 * i + 1)] = Q(1)
         for r in range(k):
             omega_entries[(2 * m + 2 * r, 2 * m + 2 * r + 1)] = Q(1)
-    omega = _two_form(dim, omega_entries)
+    omega = Matrix.skew(dim, omega_entries)
     s = validate_symplectic(g, omega)
     marked = {f"a{i+1}": Subspace.span(dim, [vunit(dim, 2 * i), vunit(dim, 2 * i + 1)])
               for i in range(m)}
@@ -395,45 +395,28 @@ def find_symplectic_form(g: LieAlgebra) -> Matrix:
     dmat = coboundary_matrix(trivial_rep(g), 2)
     z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
     n = g.dim
-    pair_idx = {c: t for t, c in enumerate(combos(n, 2))}
-
-    def as_matrix(coordv) -> Matrix:
-        rows = [[Q(0)] * n for _ in range(n)]
-        for (i, j), t in pair_idx.items():
-            rows[i][j] = coordv[t]
-            rows[j][i] = -coordv[t]
-        return Matrix.from_rows(rows, n)
-
     for rsize in range(1, min(z2.dim, 4) + 1):
         for subset in itertools.combinations(range(z2.dim), rsize):
             for signs in itertools.product((1, -1), repeat=rsize):
-                v = [Q(0)] * len(pair_idx)
+                v = [Q(0)] * dmat.cols
                 for s_i, b_i in zip(signs, subset):
                     for t, x in enumerate(z2.rows[b_i]):
                         v[t] += s_i * x
-                cand = as_matrix(v)
+                cand = two_form_as_matrix(Cochain(2, n, 1, tuple(v)))
                 if cand.det() != 0:
                     return cand
     rng = random.Random(0)
     for _ in range(500):
-        v = [Q(0)] * len(pair_idx)
+        v = [Q(0)] * dmat.cols
         for row in z2.rows:
             c = Q(rng.randint(-3, 3))
             if c:
                 for t, x in enumerate(row):
                     v[t] += c * x
-        cand = as_matrix(v)
+        cand = two_form_as_matrix(Cochain(2, n, 1, tuple(v)))
         if cand.det() != 0:
             return cand
     raise ValidationError("no symplectic form found on this algebra")
-
-
-def _two_form(n: int, entries: dict[tuple[int, int], object]) -> Matrix:
-    rows = [[Q(0)] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        rows[i][j] = q(v)
-        rows[j][i] = -q(v)
-    return Matrix.from_rows(rows, n)
 
 
 def g10_automorphism(a: Matrix) -> tuple[Matrix, bool, bool]:
@@ -465,8 +448,6 @@ def g10_automorphism(a: Matrix) -> tuple[Matrix, bool, bool]:
         mat.matvec(g.bracket_basis(i, j)) == g.bracket(mat.col(i), mat.col(j))
         for i in range(10) for j in range(i + 1, 10)
     )
-    is_symp = all(
-        s.pair(mat.col(i), mat.col(j)) == s.pair(g.basis_vector(i), g.basis_vector(j))
-        for i in range(10) for j in range(i + 1, 10)
-    )
+    images = mat.transpose().rows
+    is_symp = gram(s.omega, images, images) == s.omega
     return mat, is_auto, is_symp

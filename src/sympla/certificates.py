@@ -27,6 +27,7 @@ from .exactla import (
     charpoly,
     combine,
     coordinates,
+    gram,
     poly_divmod,
     poly_eval_matrix,
     rational_roots,
@@ -556,9 +557,6 @@ def irreducible_structure_certificate(
             total = Subspace.zero(g.dim)
             for b in subset:
                 total = total.sum(b)
-            gram = Matrix.from_rows(
-                [[s.pair(x, y) for y in total.rows] for x in total.rows], total.dim
-            )
-            if gram.det() == 0:
+            if gram(s.omega, total.rows, total.rows).det() == 0:
                 return None
     return IrreducibleStructureCertificate(a, h, tuple(ambient_blocks), tuple(characters))

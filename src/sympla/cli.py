@@ -216,11 +216,7 @@ def parse(text: str) -> ParsedFile:
             f"({labels[i]}, {labels[j]}, {labels[k]})")
     symp = None
     if omega_entries:
-        rows = [[Q(0)] * dim for _ in range(dim)]
-        for (i, j), v in omega_entries.items():
-            rows[i][j] = v
-            rows[j][i] = -v
-        symp = validate_symplectic(g, Matrix.from_rows(rows, dim))
+        symp = validate_symplectic(g, Matrix.skew(dim, omega_entries))
     flat = None
     if nabla_entries:
         mats = []
@@ -515,8 +511,7 @@ def _cmd_oxidize(parsed: ParsedFile, opts: dict) -> tuple[int, dict]:
     lam_vec = _parse_vector_flag(opts["lam"], g.dim) if opts.get("lam") \
         else tuple(Q(0) for _ in range(g.dim))
     alpha = two_form_derive(g, matrix_as_two_form(parsed.symplectic.omega), phi)
-    lam = Cochain.from_values(1, g.dim, 1, {(i,): (lam_vec[i],) for i in range(g.dim)}) \
-        if g.dim else Cochain.zero(1, 0, 1)
+    lam = Cochain.from_values(1, g.dim, 1, {(i,): (lam_vec[i],) for i in range(g.dim)})
     data = OxidationData(g, phi, alpha, lam, parsed.symplectic.omega)
     ox = symplectic_oxidation(data)
     payload = {

@@ -23,7 +23,9 @@ from .exactla import (
     bilinear,
     combine,
     coordinates,
+    derive_form,
     extend_basis,
+    gram,
     is_invariant,
     orthogonal_complement,
     rational_sqrt,
@@ -31,7 +33,7 @@ from .exactla import (
     vunit,
     vzero,
 )
-from .liealg import Cochain, ValidationError, combos
+from .liealg import Cochain, ValidationError, combos, matrix_as_two_form
 
 
 @dataclass(frozen=True)
@@ -77,22 +79,9 @@ def quadratic_forms(space: SymplecticVectorSpace, phi: Matrix) -> EndoQuadraticD
     n = space.dim
     if phi.nrows != n or phi.cols != n:
         raise ValidationError("phi must be square of the space dimension")
-    phi2 = phi.mul(phi)
-    alpha_vals, beta_vals = {}, {}
-    for i, j in combos(n, 2):
-        ei, ej = vunit(n, i), vunit(n, j)
-        pi, pj = phi.matvec(ei), phi.matvec(ej)
-        alpha_vals[(i, j)] = (space.pair(pi, ej) + space.pair(ei, pj),)
-        beta_vals[(i, j)] = (
-            space.pair(phi2.matvec(ei), ej)
-            + 2 * space.pair(pi, pj)
-            + space.pair(ei, phi2.matvec(ej)),
-        )
+    alpha = derive_form(space.omega, phi)
     return EndoQuadraticData(
-        phi,
-        Cochain.from_values(2, n, 1, alpha_vals),
-        Cochain.from_values(2, n, 1, beta_vals),
-    )
+        phi, matrix_as_two_form(alpha), matrix_as_two_form(derive_form(alpha, phi)))
 
 
 def is_symplectic_endo_subalgebra(
@@ -100,25 +89,21 @@ def is_symplectic_endo_subalgebra(
 ) -> tuple[bool, tuple | None]:
     """Abelian generators are symplectic iff the four-term relation vanishes.
 
-    Returns (flag, witness); the witness is (gen index pair, basis pair) when
-    the relation fails.
+    The relation for the generators (a, b) is the twice derived form
+    D_b(D_a omega), with D the phi-derivative.  Returns (flag, witness); the
+    witness is (gen index pair, basis pair) of its first nonzero entry above
+    the diagonal when the relation fails.
     """
-    n = space.dim
     for a, b in itertools.combinations(range(len(gens)), 2):
         if not gens[a].mul(gens[b]).sub(gens[b].mul(gens[a])).is_zero():
             raise ValidationError("generators must commute")
     for a in range(len(gens)):
+        first = derive_form(space.omega, gens[a])
         for b in range(a, len(gens)):
-            prod = gens[a].mul(gens[b])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ei, ej = vunit(n, i), vunit(n, j)
-                    s = space.pair(prod.matvec(ei), ej) \
-                        + space.pair(gens[a].matvec(ei), gens[b].matvec(ej)) \
-                        + space.pair(gens[b].matvec(ei), gens[a].matvec(ej)) \
-                        + space.pair(ei, prod.matvec(ej))
-                    if s != 0:
-                        return False, ((a, b), (i, j))
+            rows = derive_form(first, gens[b]).rows
+            bad = next(((i, j) for i, j in combos(space.dim, 2) if rows[i][j] != 0), None)
+            if bad is not None:
+                return False, ((a, b), bad)
     return True, None
 
 
@@ -131,13 +116,8 @@ def images_orthogonality_holds(space: SymplecticVectorSpace, phi: Matrix) -> boo
     powers = [Matrix.identity(n)]
     for _ in range(k):
         powers.append(phi.mul(powers[-1]))
-    for j in range(k + 1):
-        a, b = powers[j], powers[k - j]
-        for s in range(n):
-            for t in range(n):
-                if space.pair(a.col(s), b.col(t)) != 0:
-                    return False
-    return True
+    images = [p.transpose().rows for p in powers]
+    return all(gram(space.omega, images[j], images[k - j]).is_zero() for j in range(k + 1))
 
 
 def nilpotency_index(phi: Matrix) -> int | None:
@@ -217,11 +197,8 @@ def _invariant_lagrangian_rec(space: SymplecticVectorSpace, phi: Matrix) -> Subs
         if c is None:
             raise ValidationError("phi moved a vector out of the orthogonal of Z")
         phi_cols.append(c[1:])
-    omega_q = Matrix.from_rows(
-        [[space.pair(quotient_basis[a], quotient_basis[b]) for b in range(m)]
-         for a in range(m)], m
-    ) if m else Matrix((), 0)
-    phi_q = Matrix(tuple(phi_cols), m).transpose() if m else Matrix((), 0)
+    omega_q = gram(space.omega, quotient_basis, quotient_basis)
+    phi_q = Matrix(tuple(phi_cols), m).transpose()
     sub = _invariant_lagrangian_rec(SymplecticVectorSpace(m, omega_q), phi_q)
     return Subspace.span(n, [z] + [combine(r, quotient_basis, n) for r in sub.rows])
 
@@ -231,10 +208,8 @@ def _check_invariant_maximal_isotropic(space: SymplecticVectorSpace, phi: Matrix
         raise ValidationError("result is not of maximal isotropic dimension")
     if not is_invariant(sub, [phi]):
         raise ValidationError("result is not phi-invariant")
-    for a in sub.rows:
-        for b in sub.rows:
-            if space.pair(a, b) != 0:
-                raise ValidationError("result is not isotropic")
+    if not gram(space.omega, sub.rows, sub.rows).is_zero():
+        raise ValidationError("result is not isotropic")
 
 
 def invariant_lagrangian_low_dim(
@@ -254,10 +229,7 @@ def invariant_lagrangian_low_dim(
         if not phi.mul(phi).is_zero():
             raise ValidationError("generators must square to zero")
     image = Subspace.span(n, [phi.col(j) for phi in gens for j in range(n)])
-    isotropic_image = all(
-        space.pair(a, b) == 0 for a in image.rows for b in image.rows
-    )
-    if isotropic_image:
+    if gram(space.omega, image.rows, image.rows).is_zero():
         result = extend_to_maximal_isotropic(space, image)
         _check_invariant_family(space, gens, result)
         return result
@@ -280,10 +252,8 @@ def invariant_lagrangian_low_dim(
 def _check_invariant_family(space: SymplecticVectorSpace, gens: list[Matrix], sub: Subspace):
     if sub.dim != space.max_isotropic_dim():
         raise ValidationError("result is not of maximal isotropic dimension")
-    for a in sub.rows:
-        for b in sub.rows:
-            if space.pair(a, b) != 0:
-                raise ValidationError("result is not isotropic")
+    if not gram(space.omega, sub.rows, sub.rows).is_zero():
+        raise ValidationError("result is not isotropic")
     if not is_invariant(sub, gens):
         raise ValidationError("result is not invariant")
 

@@ -150,6 +150,15 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(vunit(n, i) for i in range(n)), n)
 
+    @staticmethod
+    def skew(n: int, entries: dict[tuple[int, int], object]) -> "Matrix":
+        """The n x n skew matrix with F[i][j] = v and F[j][i] = -v per (i, j): v."""
+        rows = [[Q(0)] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            rows[i][j] = q(v)
+            rows[j][i] = -q(v)
+        return Matrix(tuple(map(tuple, rows)), n)
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -427,6 +436,17 @@ def extend_basis(sub: Subspace, candidates: Iterable[Vec]) -> list[Vec]:
 
 def bilinear(form: Matrix, u: Vec, v: Vec) -> Fraction:
     return vdot(u, form.matvec(v))
+
+
+def gram(form: Matrix, rows: Sequence[Vec], cols: Sequence[Vec]) -> Matrix:
+    """The matrix (form(r, c)) for r in rows and c in cols; 0 x 0 when both are empty."""
+    images = [form.matvec(c) for c in cols]
+    return Matrix(tuple(tuple(vdot(r, x) for x in images) for r in rows), len(cols))
+
+
+def derive_form(form: Matrix, phi: Matrix) -> Matrix:
+    """The phi-derivative phi^T F + F phi, the matrix of F(phi u, v) + F(u, phi v)."""
+    return phi.transpose().mul(form).add(form.mul(phi))
 
 
 def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:

@@ -25,6 +25,7 @@ from .exactla import (
     Vec,
     combine,
     coordinates,
+    gram,
     solve_linear,
     vec,
     vunit,
@@ -46,6 +47,7 @@ from .liealg import (
     semidirect,
     torsion,
     trivial_rep,
+    two_form_as_matrix,
 )
 from .symplectic import (
     SymplecticError,
@@ -105,14 +107,19 @@ def half_ad_connection(h: LieAlgebra) -> Connection:
 # of liealg.Cochain (module basis = dual basis of h)
 
 
+def _cyclic_positions(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per triple i < j < k, the coordinates (a, b, c) of alpha(i, j)[k],
+    alpha(j, k)[i] and alpha(i, k)[j] in C^2(h, h*); the cyclic sum is
+    coords[a] + coords[b] - coords[c]."""
+    idx = combo_index(n, 2)
+    return tuple((idx[(i, j)] * n + k, idx[(j, k)] * n + i, idx[(i, k)] * n + j)
+                 for i, j, k in combos(n, 3))
+
+
 def cyclic_sum_values(h: LieAlgebra, alpha: Cochain) -> dict[tuple[int, int, int], Fraction]:
-    out = {}
-    for i, j, k in combos(h.dim, 3):
-        s = alpha.value_on_combo((i, j))[k] \
-            + alpha.value_on_combo((j, k))[i] \
-            - alpha.value_on_combo((i, k))[j]
-        out[(i, j, k)] = s
-    return out
+    x = alpha.coords
+    return {t: x[a] + x[b] - x[c]
+            for t, (a, b, c) in zip(combos(h.dim, 3), _cyclic_positions(h.dim))}
 
 
 def satisfies_cyclic_condition(h: LieAlgebra, alpha: Cochain) -> bool:
@@ -221,9 +228,9 @@ def _check_polarization_isomorphism(p: StronglyPolarized, triple: ExtensionTripl
         rhs = rebuilt.s.algebra.bracket(_push(p, x), _push(p, y))
         if lhs != rhs:
             raise ValidationError("extension triple does not reproduce the bracket")
-    for x, y in itertools.combinations(mixed, 2):
-        if s.pair(x, y) != rebuilt.s.pair(_push(p, x), _push(p, y)):
-            raise ValidationError("extension triple does not reproduce the form")
+    pushed = [_push(p, x) for x in mixed]
+    if gram(s.omega, mixed, mixed) != gram(rebuilt.s.omega, pushed, pushed):
+        raise ValidationError("extension triple does not reproduce the form")
 
 
 def _push(p: StronglyPolarized, v: Vec) -> Vec:
@@ -273,28 +280,20 @@ def trivial_two_cocycles_as_one_cochains(h: LieAlgebra) -> Subspace:
     dmat = coboundary_matrix(trivial_rep(h), 2)
     z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
     n = h.dim
-    idx = combo_index(n, 2)
-    vecs = []
-    for row in z2.rows:
-        v = [Q(0)] * (n * n)
-        for (i, j), pos in idx.items():
-            v[i * n + j] = row[pos]
-            v[j * n + i] = -row[pos]
-        vecs.append(tuple(v))
+    vecs = [tuple(itertools.chain.from_iterable(two_form_as_matrix(Cochain(2, n, 1, row)).rows))
+            for row in z2.rows]
     return Subspace.span(n * n, vecs)
 
 
 def cyclic_condition_subspace(h: LieAlgebra) -> Subspace:
     """Two-cochains satisfying the cyclic symplectic extension condition."""
     n = h.dim
-    pair_idx = combo_index(n, 2)
-    size = len(pair_idx) * n
+    size = len(combos(n, 2)) * n
     rows = []
-    for i, j, k in combos(n, 3):
+    for a, b, c in _cyclic_positions(n):
         row = [Q(0)] * size
-        row[pair_idx[(i, j)] * n + k] += Q(1)
-        row[pair_idx[(j, k)] * n + i] += Q(1)
-        row[pair_idx[(i, k)] * n + j] -= Q(1)
+        row[a] = row[b] = Q(1)
+        row[c] = Q(-1)
         rows.append(tuple(row))
     if not rows:
         return Subspace.full(size)
@@ -339,13 +338,7 @@ def cyclic_coboundary_identity_holds(flat: FlatLieAlgebra, lam_alt: Vec) -> bool
         {(i, j): (lam_alt[i * n + j],) for i, j in combos(n, 2)},
     )
     d2_lam = coboundary_apply(trivial_rep(h), lam_form)
-    for i, j, k in combos(n, 3):
-        cyc = image.value_on_combo((i, j))[k] \
-            + image.value_on_combo((j, k))[i] \
-            - image.value_on_combo((i, k))[j]
-        if cyc != 2 * d2_lam.value_on_combo((i, j, k))[0]:
-            return False
-    return True
+    return list(cyclic_sum_values(h, image).values()) == [2 * x for x in d2_lam.coords]
 
 
 def extensions_isomorphic(
@@ -382,13 +375,14 @@ def extensions_isomorphic(
             rows[n + t][u] = sigma_flat[u * n + t]
     iso = Matrix.from_rows(rows, 2 * n)
     g1, g2 = p1.s.algebra, p2.s.algebra
+    images = iso.transpose().rows
+    form = gram(p2.s.omega, images, images).rows
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             lhs = iso.matvec(g1.bracket_basis(i, j))
-            rhs = g2.bracket(iso.col(i), iso.col(j))
+            rhs = g2.bracket(images[i], images[j])
             if lhs != rhs:
                 raise ValidationError("isomorphism failed to preserve the bracket")
-            if p1.s.pair(vunit(2 * n, i), vunit(2 * n, j)) != \
-                    p2.s.pair(iso.col(i), iso.col(j)):
+            if p1.s.omega.rows[i][j] != form[i][j]:
                 raise ValidationError("isomorphism failed to preserve the form")
     return True, iso

@@ -19,6 +19,7 @@ from .exactla import (
     Q,
     Subspace,
     Vec,
+    derive_form,
     is_zero_vec,
     q,
     vadd,
@@ -434,21 +435,6 @@ class Cochain:
         base = idx * self.module_dim
         return self.coords[base: base + self.module_dim]
 
-    def evaluate(self, *args: Iterable) -> Vec:
-        if len(args) != self.degree:
-            raise DimensionMismatch("wrong number of cochain arguments")
-        vs = [vec(a) for a in args]
-        out = list(vzero(self.module_dim))
-        for combo in combos(self.dim, self.degree):
-            sub = Matrix.from_rows([[v[c] for c in combo] for v in vs], len(combo)) \
-                if combo else None
-            coeff = sub.det() if sub is not None else Q(1)
-            if coeff != 0:
-                val = self.value_on_combo(combo)
-                for t in range(self.module_dim):
-                    out[t] += coeff * val[t]
-        return tuple(out)
-
     def add(self, other: "Cochain") -> "Cochain":
         self._check_shape(other)
         return Cochain(self.degree, self.dim, self.module_dim,
@@ -598,23 +584,11 @@ def two_form_derive(g: LieAlgebra, alpha: Cochain, phi: Matrix) -> Cochain:
         raise DimensionMismatch("expected a scalar two-form on g")
     if not is_derivation(g, phi):
         raise ValidationError("phi is not a derivation")
-    values = {}
-    for i, j in combos(g.dim, 2):
-        ei, ej = g.basis_vector(i), g.basis_vector(j)
-        a = alpha.evaluate(phi.matvec(ei), ej)
-        b = alpha.evaluate(ei, phi.matvec(ej))
-        values[(i, j)] = (a[0] + b[0],)
-    return Cochain.from_values(2, g.dim, 1, values)
+    return matrix_as_two_form(derive_form(two_form_as_matrix(alpha), phi))
 
 
 def two_form_as_matrix(alpha: Cochain) -> Matrix:
-    n = alpha.dim
-    rows = [[Q(0)] * n for _ in range(n)]
-    for i, j in combos(n, 2):
-        v = alpha.value_on_combo((i, j))[0]
-        rows[i][j] = v
-        rows[j][i] = -v
-    return Matrix.from_rows(rows, n)
+    return Matrix.skew(alpha.dim, {c: alpha.value_on_combo(c)[0] for c in combos(alpha.dim, 2)})
 
 
 def matrix_as_two_form(m: Matrix) -> Cochain:

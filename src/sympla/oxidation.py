@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Matrix, Q, Subspace, Vec, coordinates, solve_linear, vec, vunit
+from .exactla import Matrix, Q, Subspace, Vec, coordinates, gram, solve_linear, vec, vunit
 from .liealg import (
     Cochain,
     LieAlgebra,
@@ -21,6 +21,7 @@ from .liealg import (
     center,
     combos,
     coboundary_apply,
+    coboundary_matrix,
     is_derivation,
     matrix_as_two_form,
     trivial_rep,
@@ -50,17 +51,12 @@ class OxidationData:
 
 
 def coboundary_condition_holds(data: OxidationData) -> bool:
-    """alpha_phi(v, w) = lam([v, w]) on all basis pairs."""
+    """alpha_phi(v, w) = lam([v, w]), that is alpha_phi + d(lam) = 0."""
     g = data.base
     if not is_derivation(g, data.phi):
         return False
     alpha_phi = two_form_derive(g, data.alpha, data.phi)
-    for i, j in combos(g.dim, 2):
-        lhs = alpha_phi.value_on_combo((i, j))[0]
-        rhs = data.lam.evaluate(g.bracket_basis(i, j))[0]
-        if lhs != rhs:
-            return False
-    return True
+    return alpha_phi.add(coboundary_apply(trivial_rep(g), data.lam)).is_zero()
 
 
 def central_oxidation(data: OxidationData) -> LieAlgebra:
@@ -144,23 +140,10 @@ def oxidation_obstruction(g: LieAlgebra, omega_bar: Matrix, phi: Matrix) -> Obst
     alpha = two_form_derive(g, matrix_as_two_form(omega_bar), phi)
     beta = two_form_derive(g, alpha, phi)
     # solve d lam = -beta over covectors, i.e. lam([e_i, e_j]) = beta(e_i, e_j)
-    n = g.dim
-    rows = []
-    rhs = []
-    for i, j in combos(n, 2):
-        rows.append(g.bracket_basis(i, j))
-        rhs.append(beta.value_on_combo((i, j))[0])
-    if rows:
-        res = solve_linear(Matrix(tuple(rows), n), tuple(rhs))
-        sol = res.particular
-    else:
-        sol = tuple()
-        res = None
+    sol = solve_linear(coboundary_matrix(trivial_rep(g), 1), beta.scale(-1).coords).particular
     if sol is None:
         return ObstructionReport(beta, False, None)
-    lam = Cochain.from_values(1, n, 1, {(i,): (sol[i],) for i in range(n)}) \
-        if n else Cochain.zero(1, 0, 1)
-    return ObstructionReport(beta, True, lam)
+    return ObstructionReport(beta, True, Cochain(1, g.dim, 1, sol))
 
 
 def recover_oxidation_data(
@@ -212,8 +195,5 @@ def recover_oxidation_data(
     phi = Matrix(tuple(phi_cols), m).transpose()
     alpha = Cochain.from_values(2, m, 1, alpha_vals)
     lam = Cochain.from_values(1, m, 1, lam_vals)
-    omega_bar = Matrix.from_rows(
-        [[s.pair(w_rows[a], w_rows[b]) for b in range(m)] for a in range(m)], m
-    ) if m else Matrix((), 0)
-    data = OxidationData(base, phi, alpha, lam, omega_bar)
+    data = OxidationData(base, phi, alpha, lam, gram(s.omega, w_rows, w_rows))
     return data, w_rows

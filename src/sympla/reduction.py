@@ -20,6 +20,8 @@ from .exactla import (
     Vec,
     combine,
     coordinates,
+    derive_form,
+    gram,
     is_invariant,
     vec,
     vunit,
@@ -124,10 +126,7 @@ def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
                 brackets[(a, b)] = entry
     labels = tuple(f"r{i+1}" for i in range(m))
     reduced_alg = LieAlgebra.from_brackets(labels, brackets)
-    omega_bar = Matrix.from_rows(
-        [[s.pair(w_rows[a], w_rows[b]) for b in range(m)] for a in range(m)], m
-    ) if m else Matrix((), 0)
-    reduced = validate_symplectic(reduced_alg, omega_bar)
+    reduced = validate_symplectic(reduced_alg, gram(s.omega, w_rows, w_rows))
     return ReductionStep(s, j, classify_ideal(s, j), reduced, dec)
 
 
@@ -265,14 +264,13 @@ def _check_cocycle_relations(s: SymplecticLieAlgebra, data: NormalReductionData)
     red = data.step.reduced
     k = data.h.dim
     m = red.dim
+    derived = [derive_form(red.omega, phi).rows for phi in data.phi]
     for u in range(m):
         for v in range(u + 1, m):
             aval = data.alpha.value_on_combo((u, v))
             for r in range(k):
                 lhs = sum((data.omega_h.rows[r][t] * aval[t] for t in range(k)), Q(0))
-                rhs = red.pair(data.phi[r].matvec(vunit(m, u)), vunit(m, v)) \
-                    + red.pair(vunit(m, u), data.phi[r].matvec(vunit(m, v)))
-                if lhs != rhs:
+                if lhs != derived[r][u][v]:
                     raise ValidationError("alpha/phi compatibility identity failed")
     for a in range(k):
         for b in range(a + 1, k):
@@ -287,22 +285,21 @@ def _check_cocycle_relations(s: SymplecticLieAlgebra, data: NormalReductionData)
 
 
 def _check_central_conditions(s: SymplecticLieAlgebra, data: NormalReductionData):
-    """For central ideals: the quadratic compatibility of phi with the reduced form."""
+    """For central ideals: the quadratic compatibility of phi with the reduced form.
+
+    omega_h(n_a, lam_b([u, v])) must equal D_b(D_a omega)(u, v), D_a the
+    phi_a-derivative; the order matters when phi_a and phi_b do not commute.
+    """
     red = data.step.reduced
     k, m = data.h.dim, red.dim
     for a in range(k):
+        first = derive_form(red.omega, data.phi[a])
         for b in range(k):
+            quad = derive_form(first, data.phi[b]).rows
             for u in range(m):
                 for v in range(m):
-                    eu, ev = vunit(m, u), vunit(m, v)
-                    quad = red.pair(data.phi[a].matvec(data.phi[b].matvec(eu)), ev) \
-                        + red.pair(data.phi[b].matvec(eu), data.phi[a].matvec(ev)) \
-                        + red.pair(data.phi[a].matvec(eu), data.phi[b].matvec(ev)) \
-                        + red.pair(eu, data.phi[a].matvec(data.phi[b].matvec(ev)))
-                    bracket_uv = red.algebra.bracket(eu, ev)
-                    lam_b = data.lam[b].matvec(bracket_uv)
-                    lhs = _pair_h(data.omega_h, a, lam_b)
-                    if lhs != quad:
+                    lam_b = data.lam[b].matvec(red.algebra.bracket_basis(u, v))
+                    if _pair_h(data.omega_h, a, lam_b) != quad[u][v]:
                         raise ValidationError("central quadratic compatibility failed")
 
 
@@ -346,9 +343,10 @@ def transfer_isotropic(step: ReductionStep, sub: Subspace, direction: str) -> Su
 
 def _pairing_witness(s: SymplecticLieAlgebra, sub: Subspace) -> str:
     """omega on two basis rows of a non-isotropic subspace that it pairs nontrivially."""
-    u, v = next((u, v) for i, u in enumerate(sub.rows) for v in sub.rows[i + 1:]
-                if s.pair(u, v) != 0)
-    return f"omega({[str(x) for x in u]}, {[str(x) for x in v]}) = {s.pair(u, v)}"
+    form = gram(s.omega, sub.rows, sub.rows).rows
+    i, j = next((i, j) for i, j in combos(sub.dim, 2) if form[i][j] != 0)
+    u, v = sub.rows[i], sub.rows[j]
+    return f"omega({[str(x) for x in u]}, {[str(x) for x in v]}) = {form[i][j]}"
 
 
 def lifted_ideal_is_ideal(step: ReductionStep, sub: Subspace) -> bool:

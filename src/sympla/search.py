@@ -39,6 +39,7 @@ from .exactla import (
     combine,
     coordinates,
     extend_basis,
+    gram,
     is_invariant,
     rational_sqrt,
     solve_linear,
@@ -546,10 +547,7 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
     u_basis = extend_basis(kernel, [vunit(6, i) for i in range(6)])
     if len(u_basis) != 2:
         return False
-    u1, u2 = u_basis
-    srows = [[red.pair(x.matvec(u1), y.matvec(u1)), red.pair(x.matvec(u1), y.matvec(u2))],
-             [red.pair(x.matvec(u2), y.matvec(u1)), red.pair(x.matvec(u2), y.matvec(u2))]]
-    smat = Matrix.from_rows(srows, 2)
+    smat = gram(red.omega, [x.matvec(u) for u in u_basis], [y.matvec(u) for u in u_basis])
     if not smat.is_symmetric() or smat.det() <= 0:
         return False
     return True

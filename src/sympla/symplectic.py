@@ -19,6 +19,7 @@ from .exactla import (
     Vec,
     bilinear,
     coordinates,
+    gram,
     orthogonal_complement,
     vec,
     vunit,
@@ -153,13 +154,13 @@ def induced_connection(
     """
     g = s.algebra
     k = len(n_rows)
-    omega_h = Matrix.from_rows([[s.pair(x, a) for a in a_rows] for x in n_rows], k)
+    omega_h = gram(s.omega, n_rows, a_rows)
     mats = []
     for u in n_rows:
-        brackets = [g.bracket(u, a) for a in a_rows]
+        pairings = gram(s.omega, n_rows, [g.bracket(u, a) for a in a_rows]).rows
         cols = []
-        for v in n_rows:
-            col = coordinates(omega_h.rows, tuple(-s.pair(v, b) for b in brackets))
+        for row in pairings:
+            col = coordinates(omega_h.rows, tuple(-x for x in row))
             if col is None:
                 raise SymplecticError("induced connection has no solution")
             cols.append(col)

@@ -1,0 +1,111 @@
+"""Test-only oracles: the pair-by-pair formulas the package used to compute
+derived two-forms, kept here to check ``exactla.derive_form``,
+``exactla.gram`` and their callers against.
+
+``evaluate_oracle`` evaluates a cochain on vectors through determinants of
+minors; the derived-form oracles loop over basis pairs and evaluate the form
+once per term; the oxidation oracles evaluate the covector on brackets and
+solve over the bracket rows.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable
+
+from sympla.endoalg import EndoQuadraticData, SymplecticVectorSpace
+from sympla.exactla import DimensionMismatch, Matrix, Q, Vec, solve_linear, vec, vunit, vzero
+from sympla.liealg import Cochain, LieAlgebra, ValidationError, combos, is_derivation
+from sympla.oxidation import OxidationData
+
+
+def evaluate_oracle(c: Cochain, *args: Iterable) -> Vec:
+    """c(v_1, ..., v_p) = sum over combos I of det(v_r[I]) c(e_I)."""
+    if len(args) != c.degree:
+        raise DimensionMismatch("wrong number of cochain arguments")
+    vs = [vec(a) for a in args]
+    out = list(vzero(c.module_dim))
+    for combo in combos(c.dim, c.degree):
+        coeff = Matrix.from_rows([[v[t] for t in combo] for v in vs], len(combo)).det() \
+            if combo else Q(1)
+        if coeff != 0:
+            val = c.value_on_combo(combo)
+            for t in range(c.module_dim):
+                out[t] += coeff * val[t]
+    return tuple(out)
+
+
+def two_form_derive_oracle(g: LieAlgebra, alpha: Cochain, phi: Matrix) -> Cochain:
+    if alpha.degree != 2 or alpha.module_dim != 1 or alpha.dim != g.dim:
+        raise DimensionMismatch("expected a scalar two-form on g")
+    if not is_derivation(g, phi):
+        raise ValidationError("phi is not a derivation")
+    values = {}
+    for i, j in combos(g.dim, 2):
+        ei, ej = g.basis_vector(i), g.basis_vector(j)
+        a = evaluate_oracle(alpha, phi.matvec(ei), ej)
+        b = evaluate_oracle(alpha, ei, phi.matvec(ej))
+        values[(i, j)] = (a[0] + b[0],)
+    return Cochain.from_values(2, g.dim, 1, values)
+
+
+def quadratic_forms_oracle(space: SymplecticVectorSpace, phi: Matrix) -> EndoQuadraticData:
+    n = space.dim
+    phi2 = phi.mul(phi)
+    alpha_vals, beta_vals = {}, {}
+    for i, j in combos(n, 2):
+        ei, ej = vunit(n, i), vunit(n, j)
+        pi, pj = phi.matvec(ei), phi.matvec(ej)
+        alpha_vals[(i, j)] = (space.pair(pi, ej) + space.pair(ei, pj),)
+        beta_vals[(i, j)] = (
+            space.pair(phi2.matvec(ei), ej)
+            + 2 * space.pair(pi, pj)
+            + space.pair(ei, phi2.matvec(ej)),
+        )
+    return EndoQuadraticData(
+        phi,
+        Cochain.from_values(2, n, 1, alpha_vals),
+        Cochain.from_values(2, n, 1, beta_vals),
+    )
+
+
+def symplectic_endo_oracle(
+    space: SymplecticVectorSpace, gens: list[Matrix]
+) -> tuple[bool, tuple | None]:
+    n = space.dim
+    for a, b in itertools.combinations(range(len(gens)), 2):
+        if not gens[a].mul(gens[b]).sub(gens[b].mul(gens[a])).is_zero():
+            raise ValidationError("generators must commute")
+    for a in range(len(gens)):
+        for b in range(a, len(gens)):
+            prod = gens[a].mul(gens[b])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    ei, ej = vunit(n, i), vunit(n, j)
+                    s = space.pair(prod.matvec(ei), ej) \
+                        + space.pair(gens[a].matvec(ei), gens[b].matvec(ej)) \
+                        + space.pair(gens[b].matvec(ei), gens[a].matvec(ej)) \
+                        + space.pair(ei, prod.matvec(ej))
+                    if s != 0:
+                        return False, ((a, b), (i, j))
+    return True, None
+
+
+def coboundary_condition_oracle(data: OxidationData) -> bool:
+    g = data.base
+    if not is_derivation(g, data.phi):
+        return False
+    alpha_phi = two_form_derive_oracle(g, data.alpha, data.phi)
+    return all(alpha_phi.value_on_combo((i, j))[0]
+               == evaluate_oracle(data.lam, g.bracket_basis(i, j))[0]
+               for i, j in combos(g.dim, 2))
+
+
+def obstruction_primitive_oracle(g: LieAlgebra, beta: Cochain) -> Vec | None:
+    """lam with lam([e_i, e_j]) = beta(e_i, e_j), solved over the bracket rows."""
+    n = g.dim
+    pairs = combos(n, 2)
+    if not pairs:
+        return vzero(n)
+    rows = tuple(g.bracket_basis(i, j) for i, j in pairs)
+    return solve_linear(Matrix(rows, n), [beta.value_on_combo(c)[0] for c in pairs]).particular

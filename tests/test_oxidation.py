@@ -115,6 +115,16 @@ def test_obstruction_g8_data():
     assert report.primitive is not None and report.primitive.is_zero()
 
 
+def test_obstruction_on_bases_of_dimension_zero_and_one():
+    """No bracket rows: the class vanishes and the primitive is the zero covector."""
+    for n in (0, 1):
+        g = LieAlgebra.abelian(n)
+        report = oxidation_obstruction(g, Matrix.zeros(n, n), Matrix.identity(n))
+        assert report.beta == Cochain.zero(2, n, 1)
+        assert report.vanishes_in_h2
+        assert report.primitive == Cochain.zero(1, n, 1)
+
+
 def test_obstruction_abelian_iff_beta_zero():
     rng = random.Random(4)
     base = LieAlgebra.abelian(4)

@@ -84,3 +84,32 @@ def test_structure_constants_read_through_nonzero():
                       and id(node) not in compared
                       or _indexes_bracket_basis(node))]
     assert found == []
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_method(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
+def _pairs_over_two_loops(node: ast.AST) -> bool:
+    """A comprehension over two or more loops (two generators, or a
+    comprehension inside it) that calls ``.pair(...)``: a hand-built Gram."""
+    if not isinstance(node, COMPREHENSIONS):
+        return False
+    inner = [n for n in ast.walk(node) if n is not node]
+    return (any(_calls_method(n, "pair") for n in inner)
+            and (len(node.generators) > 1 or any(isinstance(n, COMPREHENSIONS) for n in inner)))
+
+
+def test_forms_go_through_gram_and_derive_form():
+    """No cochain is evaluated through ``.evaluate(`` and no matrix of
+    ``.pair(...)`` values is built in a nested comprehension: derived forms
+    come from ``exactla.derive_form`` and restrictions from ``exactla.gram``."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _calls_method(node, "evaluate") or _pairs_over_two_loops(node)]
+    assert found == []
