@@ -37,10 +37,10 @@ from .exactla import (
 from .liealg import (
     LieAlgebra,
     ValidationError,
-    bracket_span,
     brackets_within,
     center,
     centralizer,
+    derived_algebra,
     is_ideal,
 )
 from .symplectic import SymplecticLieAlgebra, isotropy_report, omega_orthogonal
@@ -314,8 +314,7 @@ def abelian_envelope_candidate(g: LieAlgebra) -> Subspace | None:
     """The centralizer of the commutator ideal, when it is an abelian ideal."""
     if g.dim == 0:
         return Subspace.zero(0)
-    derived = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
-    cand = centralizer(g, derived)
+    cand = centralizer(g, derived_algebra(g))
     if is_ideal(g, cand) and brackets_within(g, cand, cand, Subspace.zero(g.dim)):
         return cand
     return None
@@ -340,7 +339,7 @@ def _restrict(op: Matrix, sub: Subspace) -> Matrix | None:
         if c is None:
             return None
         cols.append(c)
-    return Matrix(tuple(cols), sub.dim).transpose() if sub.dim else Matrix((), 0)
+    return Matrix(tuple(cols), sub.dim).transpose()
 
 
 def _split_by_operator(sub: Subspace, op_on_sub: Matrix) -> list[Subspace] | None:
@@ -472,7 +471,7 @@ def irreducible_structure_certificate(
     g = s.algebra
     if g.dim == 0:
         return None
-    a = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
+    a = derived_algebra(g)
     zero = Subspace.zero(g.dim)
     if a.dim == 0 or not (is_ideal(g, a) and brackets_within(g, a, a, zero)):
         return None

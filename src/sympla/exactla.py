@@ -85,16 +85,30 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
 def _rref(rows: list[Sequence[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form with leftmost pivots; returns (rows, pivot cols).
 
-    The rows are replaced in place.  Fraction-free Gauss-Jordan: each row is
-    scaled to primitive integers, row_i becomes p·row_i − f·row_r (p the pivot,
+    The rows are replaced in place: the reduced rows first, then zero rows.
+    Each row is scaled to primitive integers and eliminated by
+    :func:`_integer_rref`.
+    """
+    reduced, pivots = _integer_rref([_integer_row(row) for row in rows], cols)
+    zero = Q(0)
+    rows[:] = reduced + [[zero] * cols for _ in range(len(rows) - len(reduced))]
+    return rows, pivots
+
+
+def _integer_rref(work: list[list[int]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero reduced rows, as Fractions, and the pivot columns of the
+    span of integer rows; ``work`` is consumed.
+
+    Fraction-free Gauss-Jordan: row_i becomes p·row_i − f·row_r (p the pivot,
     f = row_i[c], both divided by gcd(p, f)) divided by the gcd of its entries,
     and only the pivot rows are divided by their pivots at the end.  The
     reduced form is unique, so the rows equal those of Fraction elimination.
     """
-    work = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
@@ -111,16 +125,24 @@ def _rref(rows: list[Sequence[Fraction]], cols: int) -> tuple[list[list[Fraction
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(work):
-            break
     zero = Q(0)
-    for i, row in enumerate(work):
-        if i < r:
-            p = row[pivots[i]]
-            rows[i] = [Q(x, p) if x else zero for x in row]
-        else:
-            rows[i] = [zero] * cols
-    return rows, pivots
+    return [[Q(x, work[i][p]) if x else zero for x in work[i]]
+            for i, p in enumerate(pivots)], pivots
+
+
+def _null_basis(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], cols: int) -> list[Vec]:
+    """Canonical basis of the vectors annihilated by reduced rows (free variables set to 1)."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [Q(0)] * cols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -259,16 +281,7 @@ class Matrix:
     def kernel_basis(self) -> tuple[Vec, ...]:
         """Canonical basis of the right null space (free variables set to 1)."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Q(0)] * self.cols
-            v[f] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            basis.append(tuple(v))
-        return tuple(basis)
+        return tuple(_null_basis(red.rows, pivots, self.cols))
 
 
 @dataclass(frozen=True)
@@ -292,6 +305,19 @@ class Subspace:
         return Subspace(ambient, tuple(tuple(r) for r in rows), tuple(pivots))
 
     @staticmethod
+    def from_integer_rows(ambient: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+        """The span of integer vectors, reduced by :func:`_integer_rref`."""
+        work = []
+        for row in rows:
+            if len(row) != ambient:
+                raise DimensionMismatch("vector does not match ambient dimension")
+            g = math.gcd(*row)
+            if g:
+                work.append([x // g for x in row] if g > 1 else list(row))
+        reduced, pivots = _integer_rref(work, ambient)
+        return Subspace(ambient, tuple(map(tuple, reduced)), tuple(pivots))
+
+    @staticmethod
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, (), ())
 
@@ -306,6 +332,19 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
+
+    @functools.cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row times the lcm of its denominators: primitive, as the pivot entry is 1."""
+        out = []
+        for row in self.rows:
+            lcm = math.lcm(*(x.denominator for x in row))
+            out.append(tuple(x.numerator * (lcm // x.denominator) for x in row))
+        return tuple(out)
+
+    def annihilator(self) -> "Subspace":
+        """All v with r · v = 0 for every row r."""
+        return Subspace.span(self.ambient, _null_basis(self.rows, self.pivots, self.ambient))
 
     def matrix(self) -> Matrix:
         return Matrix(self.rows, self.ambient)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +47,11 @@ class LieAlgebra:
     Antisymmetry is enforced by the constructors; the Jacobi identity is
     checked separately by :func:`validate_jacobi` so that defective tables can
     still be built and diagnosed.  ``table`` is the stored (and compared)
-    form.  Every loop over the constants reads ``nonzero``; ``bracket_basis``
-    hands out the whole vector [e_i, e_j] to code that maps or compares it.
+    form.  Every loop over the constants reads ``nonzero``, or its integer
+    form ``integer_constants``; ``bracket_basis`` hands out the whole vector
+    [e_i, e_j] to code that maps or compares it.  The derived values (the
+    series, center, Killing radical, derived algebra and Jacobi report) are
+    kept in the instance by :func:`_per_algebra`.
     """
 
     labels: tuple[str, ...]
@@ -62,6 +66,14 @@ class LieAlgebra:
         """nonzero[i][j] = ((k, c_ij^k), ...) over the nonzero constants, k ascending."""
         return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
                      for row in self.table)
+
+    @functools.cached_property
+    def integer_constants(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(d, nonzero scaled by d): d is the lcm of the denominators of the constants."""
+        d = math.lcm(*(c.denominator for row in self.nonzero for entries in row
+                       for _, c in entries))
+        return d, tuple(tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in entries)
+                              for entries in row) for row in self.nonzero)
 
     @staticmethod
     def from_brackets(
@@ -142,17 +154,37 @@ class JacobiReport:
         return not self.violations
 
 
+def _per_algebra(fn):
+    """Compute fn(g) once per algebra: the value is kept in g's instance
+    dict, as ``functools.cached_property`` does, and lives as long as g."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def stored(g: LieAlgebra):
+        value = g.__dict__.get(key)
+        if value is None:
+            value = g.__dict__[key] = fn(g)
+        return value
+    return stored
+
+
 def jacobi_defect(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
-    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] = sum c_ab^l c_lc^m e_m."""
-    out = list(vzero(g.dim))
-    nz = g.nonzero
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] = sum c_ab^l c_lc^m e_m.
+
+    Summed over the integer constants d·c, and divided by d² when nonzero.
+    """
+    out = [0] * g.dim
+    d, nz = g.integer_constants
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         for l, x in nz[a][b]:
             for m, y in nz[l][c]:
                 out[m] += x * y
-    return tuple(out)
+    if not any(out):
+        return vzero(g.dim)
+    return tuple(Q(x, d * d) for x in out)
 
 
+@_per_algebra
 def validate_jacobi(g: LieAlgebra) -> JacobiReport:
     bad = []
     for i, j, k in itertools.combinations(range(g.dim), 3):
@@ -173,10 +205,30 @@ def require_valid(g: LieAlgebra) -> LieAlgebra:
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    """The span of [x, y] over the rows of a and b, bracketed as primitive
+    integer rows with the integer constants (positive multiples of the
+    brackets, which span the same subspace)."""
     if a.ambient != g.dim or b.ambient != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    vecs = [g.bracket(x, y) for x in a.rows for y in b.rows]
-    return Subspace.span(g.dim, vecs)
+    nz = g.integer_constants[1]
+    supports = [[(j, y) for j, y in enumerate(row) if y] for row in b.integer_rows]
+    same = a == b  # [y, x] = -[x, y] and [x, x] = 0: one bracket per pair
+    rows = []
+    for p, row in enumerate(a.integer_rows):
+        xs = [(i, x) for i, x in enumerate(row) if x]
+        for ys in supports[p + 1:] if same else supports:
+            out = [0] * g.dim
+            for i, x in xs:
+                row_i = nz[i]
+                for j, y in ys:
+                    entries = row_i[j]
+                    if entries:
+                        c = x * y
+                        for k, t in entries:
+                            out[k] += c * t
+            if any(out):
+                rows.append(out)
+    return Subspace.from_integer_rows(g.dim, rows)
 
 
 def brackets_within(g: LieAlgebra, a: Subspace, b: Subspace, target: Subspace) -> bool:
@@ -205,6 +257,7 @@ class SeriesChain:
         return tuple(t.dim for t in self.terms)
 
 
+@_per_algebra
 def descending_central_series(g: LieAlgebra) -> SeriesChain:
     full = Subspace.full(g.dim)
     terms = [full]
@@ -218,6 +271,7 @@ def descending_central_series(g: LieAlgebra) -> SeriesChain:
     return SeriesChain("descending-central", tuple(terms))
 
 
+@_per_algebra
 def derived_series(g: LieAlgebra) -> SeriesChain:
     terms = [Subspace.full(g.dim)]
     while True:
@@ -230,37 +284,25 @@ def derived_series(g: LieAlgebra) -> SeriesChain:
     return SeriesChain("derived", tuple(terms))
 
 
+@_per_algebra
 def ascending_central_series(g: LieAlgebra) -> SeriesChain:
+    nz = g.integer_constants[1]
     terms = [Subspace.zero(g.dim)]
     while True:
         cur = terms[-1]
         # v belongs to the next term iff f([e_i, v]) = 0 for every functional f
-        # vanishing on cur; rows of the condition system are f^T ad(e_i).
-        functionals = _quotient_functionals(g.dim, cur)
-        rows = []
-        for i in range(g.dim):
-            adi = g.ad(g.basis_vector(i))
-            for f in functionals:
-                rows.append(adi.transpose().matvec(f))
-        if not rows:
-            nxt = Subspace.full(g.dim)
-        else:
-            nxt = Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
+        # vanishing on cur; rows of the condition system are f^T ad(e_i), whose
+        # entry j is sum_k f_k c_ij^k, taken over integer f and d·c.
+        functionals = cur.annihilator().integer_rows
+        rows = [[sum(f[k] * c for k, c in entries) for entries in nz[i]]
+                for i in range(g.dim) for f in functionals]
+        nxt = Subspace.from_integer_rows(g.dim, rows).annihilator()
         if nxt == cur:
             break
         terms.append(nxt)
         if nxt.dim == g.dim:
             break
     return SeriesChain("ascending-central", tuple(terms))
-
-
-def _quotient_functionals(n: int, sub: Subspace) -> list[Vec]:
-    """Functionals whose joint kernel is exactly sub."""
-    if sub.dim == n:
-        return []
-    if not sub.rows:
-        return [vunit(n, i) for i in range(n)]
-    return list(Matrix(sub.rows, n).kernel_basis())
 
 
 def series(g: LieAlgebra, kind: str) -> SeriesChain:
@@ -287,43 +329,45 @@ def solvability_degree(g: LieAlgebra) -> int | None:
     return len(chain.terms) - 1
 
 
+@_per_algebra
+def derived_algebra(g: LieAlgebra) -> Subspace:
+    """The commutator ideal [g, g]."""
+    return bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
+
+
+@_per_algebra
 def center(g: LieAlgebra) -> Subspace:
     """The centralizer of the whole algebra."""
     return centralizer(g, Subspace.full(g.dim))
 
 
+@_per_algebra
 def killing_radical(g: LieAlgebra) -> Subspace:
     """Radical of the trace form tr(ad x ad y); always an ideal."""
-    if g.dim == 0:
-        return Subspace.zero(0)
-    ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
-    n = g.dim
-
-    def trace_product(a: Matrix, b: Matrix) -> Fraction:
-        acc = Q(0)
-        for s in range(n):
-            arow = a.rows[s]
-            for t in range(n):
-                x = arow[t]
-                if x:
-                    y = b.rows[t][s]
-                    if y:
-                        acc += x * y
-        return acc
-
-    rows = [tuple(trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)]
-    return Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
+    n, nz = g.dim, g.integer_constants[1]
+    # ad(e_i) has entry (s, t) = c_it^s, so tr(ad e_i ad e_j) = sum c_it^s c_js^t
+    ads = [{(s, t): c for t in range(n) for s, c in nz[i][t]} for i in range(n)]
+    rows = [[sum(c * ads[j].get((t, s), 0) for (s, t), c in ads[i].items()) for j in range(n)]
+            for i in range(n)]
+    return Subspace.from_integer_rows(n, rows).annihilator()
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
-    """All v with [v, x] = 0 for every x in s."""
+    """All v with [v, x] = 0 for every x in s: the row (x, k) holds the
+    coefficients sum_j x_j c_ij^k of the v_i in [v, x]_k, over integer x and d·c."""
     if s.dim == 0:
         return Subspace.full(g.dim)
-    stacked = None
-    for x in s.rows:
-        m = g.ad(x).neg()  # [v, x] = -ad(x) v
-        stacked = m if stacked is None else stacked.stack(m)
-    return Subspace.span(g.dim, stacked.kernel_basis())
+    n, nz = g.dim, g.integer_constants[1]
+    rows = []
+    for row in s.integer_rows:
+        block = [[0] * n for _ in range(n)]
+        for j, x in enumerate(row):
+            if x:
+                for i in range(n):
+                    for k, c in nz[i][j]:
+                        block[k][i] += x * c
+        rows += block
+    return Subspace.from_integer_rows(n, rows).annihilator()
 
 
 # ---------------------------------------------------------------------------

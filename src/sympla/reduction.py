@@ -233,7 +233,7 @@ def normal_reduction_data(
             cols_w.append(w_part)
             cols_j.append(j_part)
         phi_mats.append(Matrix(tuple(cols_w), m).transpose())
-        lam_mats.append(Matrix(tuple(cols_j), k).transpose() if k else Matrix((), 0))
+        lam_mats.append(Matrix(tuple(cols_j), k).transpose())
     alpha_values = {(a, b): dec.split(g.bracket(w_rows[a], w_rows[b]))[2]
                     for a, b in combos(m, 2)}
     alpha = Cochain.from_values(2, m, k, alpha_values)

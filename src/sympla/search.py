@@ -52,6 +52,7 @@ from .liealg import (
     bracket_span,
     brackets_within,
     center,
+    derived_algebra,
     descending_central_series,
     derived_series,
     is_ideal,
@@ -111,7 +112,7 @@ def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     pool.append(z)
     kr = killing_radical(g)
     pool.append(kr)
-    pool.append(kr.intersect(bracket_span(g, Subspace.full(n), Subspace.full(n))))
+    pool.append(kr.intersect(derived_algebra(g)))
     for term in list(pool):
         pool.append(term.intersect(omega_orthogonal(s, term)))
     for term in pool:
@@ -259,7 +260,7 @@ def _two_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
     k = nilpotency_class(g)
     if k is None or k > 2:
         return None
-    derived = bracket_span(g, Subspace.full(g.dim), Subspace.full(g.dim))
+    derived = derived_algebra(g)
     if not isotropy_report(s, derived).isotropic:
         return None
     return extend_to_maximal_isotropic(SymplecticVectorSpace(s.dim, s.omega), derived)
@@ -284,9 +285,7 @@ def _abelian_reduction_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
         return None
     for line in _central_lines(s):
         step = reduce(s, line)
-        n = step.reduced.dim
-        if not brackets_within(step.reduced.algebra, Subspace.full(n), Subspace.full(n),
-                               Subspace.zero(n)):
+        if not derived_algebra(step.reduced.algebra).is_zero():
             continue
         h = line.rows[0]
         # xi with omega(xi, H) = 1
@@ -351,7 +350,7 @@ def _invariant_lagrangian_ideal_in_reduction(
         return None
     if k == 0:
         return Subspace.zero(0) if g.dim == 0 else None
-    if brackets_within(g, Subspace.full(g.dim), Subspace.full(g.dim), Subspace.zero(g.dim)):
+    if derived_algebra(g).is_zero():
         # abelian reduction: joint invariant maximal isotropic subspace
         return _joint_invariant_lagrangian(red, phi_ops)
     if k == 2:
@@ -533,7 +532,7 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
     red = step.reduced
     if red.dim != 6:
         return False
-    if not brackets_within(red.algebra, Subspace.full(6), Subspace.full(6), Subspace.zero(6)):
+    if not derived_algebra(red.algebra).is_zero():
         return False
     ops = _induced_complement_operators(s, step)
     if len(ops) != 2:

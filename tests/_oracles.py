@@ -1,6 +1,8 @@
 """Test-only oracles: the pair-by-pair formulas the package used to compute
 derived two-forms, kept here to check ``exactla.derive_form``,
-``exactla.gram`` and their callers against.
+``exactla.gram`` and their callers against; and the Fraction forms of the
+bracket span, the series, the center, the centralizer, the Killing radical
+and the Jacobi defect, to check the integer constants against.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -14,8 +16,27 @@ import itertools
 from typing import Iterable
 
 from sympla.endoalg import EndoQuadraticData, SymplecticVectorSpace
-from sympla.exactla import DimensionMismatch, Matrix, Q, Vec, solve_linear, vec, vunit, vzero
-from sympla.liealg import Cochain, LieAlgebra, ValidationError, combos, is_derivation
+from fractions import Fraction
+
+from sympla.exactla import (
+    DimensionMismatch,
+    Matrix,
+    Q,
+    Subspace,
+    Vec,
+    solve_linear,
+    vec,
+    vunit,
+    vzero,
+)
+from sympla.liealg import (
+    Cochain,
+    LieAlgebra,
+    SeriesChain,
+    ValidationError,
+    combos,
+    is_derivation,
+)
 from sympla.oxidation import OxidationData
 
 
@@ -109,3 +130,102 @@ def obstruction_primitive_oracle(g: LieAlgebra, beta: Cochain) -> Vec | None:
         return vzero(n)
     rows = tuple(g.bracket_basis(i, j) for i, j in pairs)
     return solve_linear(Matrix(rows, n), [beta.value_on_combo(c)[0] for c in pairs]).particular
+
+
+def bracket_span_oracle(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    if a.ambient != g.dim or b.ambient != g.dim:
+        raise DimensionMismatch("subspace ambient dimension mismatch")
+    vecs = [g.bracket(x, y) for x in a.rows for y in b.rows]
+    return Subspace.span(g.dim, vecs)
+
+
+def descending_central_series_oracle(g: LieAlgebra) -> SeriesChain:
+    full = Subspace.full(g.dim)
+    terms = [full]
+    while True:
+        nxt = bracket_span_oracle(g, full, terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+        if nxt.is_zero():
+            break
+    return SeriesChain("descending-central", tuple(terms))
+
+
+def derived_series_oracle(g: LieAlgebra) -> SeriesChain:
+    terms = [Subspace.full(g.dim)]
+    while True:
+        nxt = bracket_span_oracle(g, terms[-1], terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+        if nxt.is_zero():
+            break
+    return SeriesChain("derived", tuple(terms))
+
+
+def _quotient_functionals(n: int, sub: Subspace) -> list[Vec]:
+    if sub.dim == n:
+        return []
+    if not sub.rows:
+        return [vunit(n, i) for i in range(n)]
+    return list(Matrix(sub.rows, n).kernel_basis())
+
+
+def ascending_central_series_oracle(g: LieAlgebra) -> SeriesChain:
+    terms = [Subspace.zero(g.dim)]
+    while True:
+        cur = terms[-1]
+        functionals = _quotient_functionals(g.dim, cur)
+        rows = []
+        for i in range(g.dim):
+            adi = g.ad(g.basis_vector(i))
+            for f in functionals:
+                rows.append(adi.transpose().matvec(f))
+        if not rows:
+            nxt = Subspace.full(g.dim)
+        else:
+            nxt = Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
+        if nxt == cur:
+            break
+        terms.append(nxt)
+        if nxt.dim == g.dim:
+            break
+    return SeriesChain("ascending-central", tuple(terms))
+
+
+def centralizer_oracle(g: LieAlgebra, s: Subspace) -> Subspace:
+    if s.dim == 0:
+        return Subspace.full(g.dim)
+    stacked = None
+    for x in s.rows:
+        m = g.ad(x).neg()  # [v, x] = -ad(x) v
+        stacked = m if stacked is None else stacked.stack(m)
+    return Subspace.span(g.dim, stacked.kernel_basis())
+
+
+def center_oracle(g: LieAlgebra) -> Subspace:
+    return centralizer_oracle(g, Subspace.full(g.dim))
+
+
+def killing_radical_oracle(g: LieAlgebra) -> Subspace:
+    if g.dim == 0:
+        return Subspace.zero(0)
+    n = g.dim
+    ads = [g.ad(g.basis_vector(i)) for i in range(n)]
+
+    def trace_product(a: Matrix, b: Matrix) -> Fraction:
+        return sum((a.rows[s][t] * b.rows[t][s] for s in range(n) for t in range(n)), Q(0))
+
+    rows = [tuple(trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)]
+    return Subspace.span(n, Matrix(tuple(rows), n).kernel_basis())
+
+
+def jacobi_defect_oracle(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
+    out = list(vzero(g.dim))
+    nz = g.nonzero
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, x in nz[a][b]:
+            for m, y in nz[l][c]:
+                out[m] += x * y
+    return tuple(out)

@@ -113,3 +113,22 @@ def test_forms_go_through_gram_and_derive_form():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if _calls_method(node, "evaluate") or _pairs_over_two_loops(node)]
     assert found == []
+
+
+def _is_full_subspace(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "full" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "Subspace")
+
+
+def test_derived_algebra_is_read_from_the_algebra():
+    """[g, g] is built only by ``liealg.derived_algebra``, which keeps it per
+    algebra: outside ``liealg.py`` no ``bracket_span`` call takes
+    ``Subspace.full(...)`` as both of its last two arguments."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "liealg.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "bracket_span" and len(node.args) >= 2
+             and all(_is_full_subspace(a) for a in node.args[-2:])]
+    assert found == []
