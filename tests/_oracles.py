@@ -211,14 +211,23 @@ def center_oracle(g: LieAlgebra) -> Subspace:
 def killing_radical_oracle(g: LieAlgebra) -> Subspace:
     if g.dim == 0:
         return Subspace.zero(0)
+    ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
     n = g.dim
-    ads = [g.ad(g.basis_vector(i)) for i in range(n)]
 
     def trace_product(a: Matrix, b: Matrix) -> Fraction:
-        return sum((a.rows[s][t] * b.rows[t][s] for s in range(n) for t in range(n)), Q(0))
+        acc = Q(0)
+        for s in range(n):
+            arow = a.rows[s]
+            for t in range(n):
+                x = arow[t]
+                if x:
+                    y = b.rows[t][s]
+                    if y:
+                        acc += x * y
+        return acc
 
     rows = [tuple(trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)]
-    return Subspace.span(n, Matrix(tuple(rows), n).kernel_basis())
+    return Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
 
 
 def jacobi_defect_oracle(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
