@@ -1,10 +1,11 @@
 """Exact certificates used by the isotropic-ideal search.
 
-Three mechanisms, all in rational arithmetic:
+Three mechanisms, all exact:
 
-* envelope certificates: symbolic double brackets showing that every abelian
-  ideal lies inside a candidate abelian ideal m, via coordinate polynomials
-  that provably never vanish over the reals;
+* envelope certificates: symbolic double brackets, as integer quadratic
+  forms, showing that every abelian ideal lies inside a candidate abelian
+  ideal m, via coordinate polynomials that provably never vanish over the
+  reals;
 * invariant-subspace traps: a primary decomposition of m under commuting
   adjoint operators with pairwise coprime characteristic factors, whose
   component sums enumerate every ideal of the algebra inside m;
@@ -15,9 +16,10 @@ Three mechanisms, all in rational arithmetic:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import (
     Matrix,
@@ -32,153 +34,35 @@ from .exactla import (
     poly_eval_matrix,
     rational_roots,
     rational_sqrt,
-    solve_linear,
+    vunit,
 )
 from .liealg import (
     LieAlgebra,
-    ValidationError,
     brackets_within,
     center,
     centralizer,
     derived_algebra,
+    integer_brackets,
+    integer_support,
     is_ideal,
 )
 from .symplectic import SymplecticLieAlgebra, isotropy_report, omega_orthogonal
 
 # ---------------------------------------------------------------------------
-# quadratic polynomials in named parameters
-
-Poly = dict[tuple[int, ...], Fraction]  # keys: () constant, (i,), (i, j) i <= j
-
-
-def poly_const(c: Fraction) -> Poly:
-    return {(): c} if c != 0 else {}
-
-
-def poly_var(i: int) -> Poly:
-    return {(i,): Q(1)}
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Q(0)) + v
-        if nv == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
-
-
-def poly_scale(c: Fraction, a: Poly) -> Poly:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(sorted(ka + kb))
-            if len(key) > 2:
-                raise ValidationError("certificate polynomials must stay quadratic")
-            nv = out.get(key, Q(0)) + va * vb
-            if nv == 0:
-                out.pop(key, None)
-            else:
-                out[key] = nv
-    return out
-
-
-def sym_bracket(g: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
-    out: list[Poly] = [{} for _ in range(g.dim)]
-    for i in range(g.dim):
-        if not u[i]:
-            continue
-        for j, entries in enumerate(g.nonzero[i]):
-            if not (entries and v[j]):
-                continue
-            prod = poly_mul(u[i], v[j])
-            for k, c in entries:
-                out[k] = poly_add(out[k], poly_scale(c, prod))
-    return out
-
-
-def _quadratic_parts(p: Poly, nvars: int):
-    c0 = p.get((), Q(0))
-    lin = [p.get((i,), Q(0)) for i in range(nvars)]
-    quad = [[Q(0)] * nvars for _ in range(nvars)]
-    for k, v in p.items():
-        if len(k) == 2:
-            i, j = k
-            if i == j:
-                quad[i][i] = v
-            else:
-                quad[i][j] = v / 2
-                quad[j][i] = v / 2
-    return c0, lin, quad
-
-
-def _is_psd(quad: list[list[Fraction]], support: list[int]) -> bool:
-    """All principal minors of the restriction to the support are nonnegative."""
-    for size in range(1, len(support) + 1):
-        for subset in itertools.combinations(support, size):
-            sub = Matrix.from_rows(
-                [[quad[i][j] for j in subset] for i in subset], size
-            )
-            if sub.det() < 0:
-                return False
-    return True
-
-
-def poly_never_zero(p: Poly, nvars: int) -> bool:
-    """True when p = c + Q(t) with c != 0 and sign(c) Q positive semidefinite."""
-    c0, lin, quad = _quadratic_parts(p, nvars)
-    if c0 == 0 or any(x != 0 for x in lin):
-        return False
-    sign = 1 if c0 > 0 else -1
-    support = sorted({i for k in p for i in k})
-    scaled = [[sign * x for x in row] for row in quad]
-    return _is_psd(scaled, support)
-
-
-def poly_as_affine_square(p: Poly, nvars: int) -> tuple[int, tuple[Fraction, ...]] | None:
-    """Write p = sign * (c + sum l_i t_i)^2; returns (sign, (c, l_1..l_n)) or None."""
-    if not p:
-        return None
-    c0, lin, quad = _quadratic_parts(p, nvars)
-    if c0 != 0:
-        sign = 1 if c0 > 0 else -1
-        c = rational_sqrt(sign * c0)
-        if c is None or c == 0:
-            return None
-        l = [sign * lin[i] / (2 * c) for i in range(nvars)]
-    else:
-        if any(x != 0 for x in lin):
-            return None
-        pivot = next((i for i in range(nvars) if quad[i][i] != 0), None)
-        if pivot is None:
-            return None
-        sign = 1 if quad[pivot][pivot] > 0 else -1
-        c = Q(0)
-        lp = rational_sqrt(sign * quad[pivot][pivot])
-        if lp is None:
-            return None
-        l = [sign * quad[pivot][i] / lp for i in range(nvars)]
-        l[pivot] = lp
-    # verify
-    form = poly_const(c)
-    for i, li in enumerate(l):
-        form = poly_add(form, poly_scale(li, poly_var(i)))
-    square = poly_scale(Q(sign), poly_mul(form, form))
-    if square != p:
-        return None
-    return sign, (c, *l)
-
-
-# ---------------------------------------------------------------------------
 # envelope certificates
+#
+# The escape vector of direction d is v = e_d + sum t_x e_x + sum s_j m_j, x
+# over the other directions.  The unit vectors of the directions and the
+# integer rows of m (m_j times lambda_j > 0) form a basis R of g, and
+# v = sum u_a R_a with u_d = 1, u_x = t_x and u_j = s_j / lambda_j.  Over the
+# integer constants (D, D·c) and an integer probe L·p (L > 0),
+# Q_ab = [R_a, [L·p, R_b]] is D²L times the true double bracket, so
+# coordinate k of [v, [p, v]] is u^T S u / (2D²L) with the symmetric integer
+# matrix S_ab = Q_ab[k] + Q_ba[k].  Rescaling the variables by lambda_j > 0
+# and the form by 2D²L > 0 keeps whether it has a real zero, whether its
+# quadratic part is semidefinite and which affine forms vanish where it
+# does; the one test that sees the factor is whether the form is ± the
+# square of a rational affine form, which asks that 2L|S_rr| be a square.
 
 
 @dataclass(frozen=True)
@@ -196,39 +80,77 @@ class EnvelopeCertificate:
     nondegenerate: bool
 
 
-def _escape_vector(g: LieAlgebra, m: Subspace, directions: tuple[int, ...],
-                   d: int) -> tuple[list[Poly], int]:
-    """Symbolic v = e_d + sum t_i e_(other dirs) + sum s_j m_j; returns (v, nvars)."""
-    others = [x for x in directions if x != d]
-    nvars = len(others) + m.dim
-    v: list[Poly] = [dict() for _ in range(g.dim)]
-    v[d] = poly_const(Q(1))
-    for t, coord in enumerate(others):
-        v[coord] = poly_add(v[coord], poly_var(t))
-    for jdx, row in enumerate(m.rows):
-        var = poly_var(len(others) + jdx)
-        for coord, c in enumerate(row):
-            if c != 0:
-                v[coord] = poly_add(v[coord], poly_scale(c, var))
-    return v, nvars
+def escape_basis(g: LieAlgebra, m: Subspace) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
+    """The escape directions (the coordinates that are not pivots of m) and
+    the supports of the basis R: their unit vectors, then the integer rows of m."""
+    pivots = set(m.pivots)
+    directions = tuple(j for j in range(g.dim) if j not in pivots)
+    return directions, [[(j, 1)] for j in directions] + [integer_support(r)
+                                                          for r in m.integer_rows]
 
 
-def _double_bracket(g: LieAlgebra, probe: Vec, v: list[Poly]) -> list[Poly]:
-    p_sym = [poly_const(c) for c in probe]
-    inner = sym_bracket(g, p_sym, v)
-    return sym_bracket(g, v, inner)
+def double_bracket_forms(g: LieAlgebra, basis: list[list[tuple[int, int]]],
+                         probe: Vec) -> tuple[int, list[list[list[int]] | None]]:
+    """(L, forms): L > 0 clears the denominators of the probe, and forms[k] is
+    the matrix S of coordinate k of [v, [p, v]] over the basis R (None when
+    that coordinate is zero)."""
+    scale = math.lcm(*(x.denominator for x in probe))
+    p = integer_support([x.numerator * (scale // x.denominator) for x in probe])
+    inner = [integer_support(w) for w in integer_brackets(g, p, basis)]
+    q = [integer_brackets(g, r, inner) for r in basis]
+    n = len(basis)
+    forms = []
+    for k in range(g.dim):
+        form = [[q[a][b][k] + q[b][a][k] for b in range(n)] for a in range(n)]
+        forms.append(form if any(map(any, form)) else None)
+    return scale, forms
+
+
+def form_never_zero(form: list[list[int]], t: int) -> bool:
+    """u^T S u with u_t = 1 is c + (a quadratic form in the other u) with
+    c != 0 and sign(c)·S positive semidefinite: all its principal minors on
+    the support are nonnegative."""
+    c = form[t][t]
+    if c == 0 or any(x for b, x in enumerate(form[t]) if b != t):
+        return False
+    sign = 1 if c > 0 else -1
+    support = [a for a, row in enumerate(form) if a != t and any(row)]
+    return all(sign ** size * Matrix.from_rows([[form[a][b] for b in subset] for a in subset],
+                                               size).det() >= 0
+               for size in range(1, len(support) + 1)
+               for subset in itertools.combinations(support, size))
+
+
+def form_affine_square(form: list[list[int]], scale: int) -> list[int] | None:
+    """A row S_r of S when the coordinate is ± the square of a rational affine
+    form: S has rank one and 2L|S_rr| is a square.  The coordinate vanishes
+    exactly where S_r · u does."""
+    n = len(form)
+    r = next((a for a in range(n) if form[a][a]), None)
+    if r is None:
+        return None
+    row, pivot = form[r], form[r][r]
+    if any(pivot * form[a][b] != row[a] * row[b] for a in range(n) for b in range(a, n)):
+        return None
+    factor = 2 * scale * abs(pivot)
+    return row if math.isqrt(factor) ** 2 == factor else None
+
+
+def _affine_system_infeasible(forms: list[list[int]], t: int, n: int) -> bool:
+    """No u with u_t = 1 on which every form vanishes: e_t lies in their span."""
+    return Subspace.from_integer_rows(n, forms).contains_vector(vunit(n, t))
 
 
 def build_envelope_certificate(
     s: SymplecticLieAlgebra,
     m: Subspace | None = None,
-    probes: list[Vec] | None = None,
 ) -> EnvelopeCertificate | None:
     """Certify that every abelian ideal is contained in m.
 
     For each escape direction the double bracket [v, [p, v]] of a symbolic
     vector with unit coefficient there must have a coordinate polynomial with
-    no real zero, or a jointly infeasible family of affine squares.
+    no real zero, or a jointly infeasible family of affine squares; the
+    probes p are the basis vectors, and each probe's forms are computed once.
     """
     g = s.algebra
     if m is None:
@@ -237,33 +159,30 @@ def build_envelope_certificate(
             return None
     if not (is_ideal(g, m) and brackets_within(g, m, m, Subspace.zero(g.dim))):
         return None
-    directions = tuple(
-        j for j in range(g.dim) if j not in set(m.pivots)
-    )
-    if probes is None:
-        probes = [g.basis_vector(i) for i in range(g.dim)]
+    directions, basis = escape_basis(g, m)
+    probes = [g.basis_vector(i) for i in range(g.dim)]
+    tables = functools.cache(lambda i: double_bracket_forms(g, basis, probes[i]))
     witnesses = []
-    for d in directions:
-        v, nvars = _escape_vector(g, m, directions, d)
+    for t, d in enumerate(directions):
         found: DirectionWitness | None = None
         square_pool: list[tuple[Vec, int]] = []
-        square_forms: list[tuple[Fraction, ...]] = []
-        for probe in probes:
-            qvec = _double_bracket(g, probe, v)
-            for coord in range(g.dim):
-                p = qvec[coord]
-                if not p:
+        square_forms: list[list[int]] = []
+        for i, probe in enumerate(probes):
+            scale, forms = tables(i)
+            for coord, form in enumerate(forms):
+                if form is None:
                     continue
-                if poly_never_zero(p, nvars):
+                if form_never_zero(form, t):
                     found = DirectionWitness(d, (probe, coord), None)
                     break
-                sq = poly_as_affine_square(p, nvars)
+                sq = form_affine_square(form, scale)
                 if sq is not None:
                     square_pool.append((probe, coord))
-                    square_forms.append(sq[1])
+                    square_forms.append(sq)
             if found:
                 break
-        if not found and square_forms and _affine_system_infeasible(square_forms, nvars):
+        if not found and square_forms \
+                and _affine_system_infeasible(square_forms, t, g.dim):
             found = DirectionWitness(d, None, tuple(square_pool))
         if not found:
             return None
@@ -272,38 +191,37 @@ def build_envelope_certificate(
     return EnvelopeCertificate(m, directions, tuple(witnesses), rep.nondegenerate)
 
 
-def _affine_system_infeasible(forms: list[tuple[Fraction, ...]], nvars: int) -> bool:
-    """No common real zero of the affine forms (c, l_1..l_n)."""
-    rows = [form[1:] for form in forms]
-    rhs = [-form[0] for form in forms]
-    res = solve_linear(Matrix.from_rows(rows, nvars), tuple(rhs))
-    return res.particular is None
-
-
 def verify_no_abelian_escape(s: SymplecticLieAlgebra, cert: EnvelopeCertificate) -> bool:
-    """Re-run the symbolic computation stored in the certificate."""
+    """Re-run the computation stored in the certificate: one witness per
+    escape direction, in order."""
     g = s.algebra
     if not (is_ideal(g, cert.m) and brackets_within(g, cert.m, cert.m, Subspace.zero(g.dim))):
         return False
-    expected_dirs = tuple(j for j in range(g.dim) if j not in set(cert.m.pivots))
-    if expected_dirs != cert.directions:
+    directions, basis = escape_basis(g, cert.m)
+    if cert.directions != directions \
+            or tuple(w.direction for w in cert.witnesses) != directions:
         return False
-    for witness in cert.witnesses:
-        v, nvars = _escape_vector(g, cert.m, cert.directions, witness.direction)
+
+    def form(probe: Vec, coord: int) -> tuple[int, list[list[int]] | None]:
+        if len(probe) != g.dim or not 0 <= coord < g.dim:
+            return 1, None
+        scale, forms = double_bracket_forms(g, basis, probe)
+        return scale, forms[coord]
+
+    for t, witness in enumerate(cert.witnesses):
         if witness.single is not None:
-            probe, coord = witness.single
-            qvec = _double_bracket(g, probe, v)
-            if not poly_never_zero(qvec[coord], nvars):
+            _, f = form(*witness.single)
+            if f is None or not form_never_zero(f, t):
                 return False
         elif witness.squares is not None:
-            forms = []
+            squares = []
             for probe, coord in witness.squares:
-                qvec = _double_bracket(g, probe, v)
-                sq = poly_as_affine_square(qvec[coord], nvars)
+                scale, f = form(probe, coord)
+                sq = None if f is None else form_affine_square(f, scale)
                 if sq is None:
                     return False
-                forms.append(sq[1])
-            if not _affine_system_infeasible(forms, nvars):
+                squares.append(sq)
+            if not _affine_system_infeasible(squares, t, g.dim):
                 return False
         else:
             return False

@@ -247,7 +247,8 @@ def serialize(parsed: ParsedFile) -> str:
             for j in range(i + 1, n):
                 if om.rows[i][j] != 0:
                     lines.append(f"omega {i+1} {j+1} = {om.rows[i][j]}")
-    if parsed.flat is not None:
+    # the flat connection of a cotangent entry T*h lives on h, not on the algebra
+    if parsed.flat is not None and parsed.flat.algebra == g:
         for i in range(n):
             mat = parsed.flat.connection.mats[i]
             for j in range(n):

@@ -204,30 +204,43 @@ def require_valid(g: LieAlgebra) -> LieAlgebra:
     return g
 
 
+def integer_support(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (i, x_i) with x_i != 0 of an integer vector."""
+    return [(i, x) for i, x in enumerate(row) if x]
+
+
+def integer_brackets(g: LieAlgebra, xs: Sequence[tuple[int, int]],
+                     ys_list: Iterable[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """d·[x, y] for each y of ys_list, for integer vectors given by their
+    supports, over the integer constants (d, d·c) of ``g.integer_constants``."""
+    nz = g.integer_constants[1]
+    rows_x = [(nz[i], x) for i, x in xs]
+    outs = []
+    for ys in ys_list:
+        out = [0] * g.dim
+        for row_i, x in rows_x:
+            for j, y in ys:
+                entries = row_i[j]
+                if entries:
+                    c = x * y
+                    for k, t in entries:
+                        out[k] += c * t
+        outs.append(out)
+    return outs
+
+
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """The span of [x, y] over the rows of a and b, bracketed as primitive
     integer rows with the integer constants (positive multiples of the
     brackets, which span the same subspace)."""
     if a.ambient != g.dim or b.ambient != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    nz = g.integer_constants[1]
-    supports = [[(j, y) for j, y in enumerate(row) if y] for row in b.integer_rows]
+    supports = [integer_support(row) for row in b.integer_rows]
     same = a == b  # [y, x] = -[x, y] and [x, x] = 0: one bracket per pair
     rows = []
     for p, row in enumerate(a.integer_rows):
-        xs = [(i, x) for i, x in enumerate(row) if x]
-        for ys in supports[p + 1:] if same else supports:
-            out = [0] * g.dim
-            for i, x in xs:
-                row_i = nz[i]
-                for j, y in ys:
-                    entries = row_i[j]
-                    if entries:
-                        c = x * y
-                        for k, t in entries:
-                            out[k] += c * t
-            if any(out):
-                rows.append(out)
+        brackets = integer_brackets(g, integer_support(row), supports[p + 1:] if same else supports)
+        rows += (out for out in brackets if any(out))
     return Subspace.from_integer_rows(g.dim, rows)
 
 

@@ -8,6 +8,7 @@ isotropic decompositions g = N + W + j.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,16 +54,22 @@ class SymplecticLieAlgebra:
 
 
 def closedness_violations(g: LieAlgebra, omega: Matrix) -> list[tuple[int, int, int, Fraction]]:
-    """Basis triples i < j < k where d omega = omega([e_i, e_j], e_k) + cyclic is not 0."""
+    """Basis triples i < j < k where d omega = omega([e_i, e_j], e_k) + cyclic is not 0.
+
+    Summed over the integer constants d·c and e·omega (e the lcm of the
+    denominators of omega), and divided by d·e when nonzero.
+    """
     bad = []
-    nz, w = g.nonzero, omega.rows
+    d, nz = g.integer_constants
+    e = math.lcm(*(x.denominator for row in omega.rows for x in row))
+    w = [[x.numerator * (e // x.denominator) for x in row] for row in omega.rows]
     for i, j, k in itertools.combinations(range(g.dim), 3):
-        s = Q(0)
+        s = 0
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in nz[a][b]:
                 s += x * w[l][c]
-        if s != 0:
-            bad.append((i, j, k, s))
+        if s:
+            bad.append((i, j, k, Q(s, d * e)))
     return bad
 
 

@@ -1,8 +1,11 @@
 """Test-only oracles: the pair-by-pair formulas the package used to compute
 derived two-forms, kept here to check ``exactla.derive_form``,
 ``exactla.gram`` and their callers against; and the Fraction forms of the
-bracket span, the series, the center, the centralizer, the Killing radical
-and the Jacobi defect, to check the integer constants against.
+bracket span, the series, the center, the centralizer, the Killing radical,
+the Jacobi defect and the closedness check, to check the integer constants
+against; and the envelope certificate on Fraction polynomial dicts
+(``sym_bracket_oracle`` and ``double_bracket_oracle``), to check its integer
+quadratic forms against.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -24,6 +27,7 @@ from sympla.exactla import (
     Q,
     Subspace,
     Vec,
+    rational_sqrt,
     solve_linear,
     vec,
     vunit,
@@ -238,3 +242,212 @@ def jacobi_defect_oracle(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
             for m, y in nz[l][c]:
                 out[m] += x * y
     return tuple(out)
+
+
+def closedness_violations_oracle(g: LieAlgebra, omega: Matrix) -> list[tuple[int, int, int, Fraction]]:
+    bad = []
+    nz, w = g.nonzero, omega.rows
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        s = Q(0)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in nz[a][b]:
+                s += x * w[l][c]
+        if s != 0:
+            bad.append((i, j, k, s))
+    return bad
+
+
+# envelope certificates: quadratic polynomials in named parameters
+
+Poly = dict[tuple[int, ...], Fraction]  # keys: () constant, (i,), (i, j) i <= j
+
+
+def poly_const(c: Fraction) -> Poly:
+    return {(): c} if c != 0 else {}
+
+
+def poly_var(i: int) -> Poly:
+    return {(i,): Q(1)}
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    out = dict(a)
+    for k, v in b.items():
+        nv = out.get(k, Q(0)) + v
+        if nv == 0:
+            out.pop(k, None)
+        else:
+            out[k] = nv
+    return out
+
+
+def poly_scale(c: Fraction, a: Poly) -> Poly:
+    if c == 0:
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(sorted(ka + kb))
+            if len(key) > 2:
+                raise ValidationError("certificate polynomials must stay quadratic")
+            nv = out.get(key, Q(0)) + va * vb
+            if nv == 0:
+                out.pop(key, None)
+            else:
+                out[key] = nv
+    return out
+
+
+def sym_bracket_oracle(g: LieAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
+    out: list[Poly] = [{} for _ in range(g.dim)]
+    for i in range(g.dim):
+        if not u[i]:
+            continue
+        for j, entries in enumerate(g.nonzero[i]):
+            if not (entries and v[j]):
+                continue
+            prod = poly_mul(u[i], v[j])
+            for k, c in entries:
+                out[k] = poly_add(out[k], poly_scale(c, prod))
+    return out
+
+
+def _quadratic_parts(p: Poly, nvars: int):
+    c0 = p.get((), Q(0))
+    lin = [p.get((i,), Q(0)) for i in range(nvars)]
+    quad = [[Q(0)] * nvars for _ in range(nvars)]
+    for k, v in p.items():
+        if len(k) == 2:
+            i, j = k
+            if i == j:
+                quad[i][i] = v
+            else:
+                quad[i][j] = v / 2
+                quad[j][i] = v / 2
+    return c0, lin, quad
+
+
+def _is_psd(quad: list[list[Fraction]], support: list[int]) -> bool:
+    """All principal minors of the restriction to the support are nonnegative."""
+    for size in range(1, len(support) + 1):
+        for subset in itertools.combinations(support, size):
+            sub = Matrix.from_rows(
+                [[quad[i][j] for j in subset] for i in subset], size
+            )
+            if sub.det() < 0:
+                return False
+    return True
+
+
+def poly_never_zero(p: Poly, nvars: int) -> bool:
+    """True when p = c + Q(t) with c != 0 and sign(c) Q positive semidefinite."""
+    c0, lin, quad = _quadratic_parts(p, nvars)
+    if c0 == 0 or any(x != 0 for x in lin):
+        return False
+    sign = 1 if c0 > 0 else -1
+    support = sorted({i for k in p for i in k})
+    scaled = [[sign * x for x in row] for row in quad]
+    return _is_psd(scaled, support)
+
+
+def poly_as_affine_square(p: Poly, nvars: int) -> tuple[int, tuple[Fraction, ...]] | None:
+    """Write p = sign * (c + sum l_i t_i)^2; returns (sign, (c, l_1..l_n)) or None."""
+    if not p:
+        return None
+    c0, lin, quad = _quadratic_parts(p, nvars)
+    if c0 != 0:
+        sign = 1 if c0 > 0 else -1
+        c = rational_sqrt(sign * c0)
+        if c is None or c == 0:
+            return None
+        l = [sign * lin[i] / (2 * c) for i in range(nvars)]
+    else:
+        if any(x != 0 for x in lin):
+            return None
+        pivot = next((i for i in range(nvars) if quad[i][i] != 0), None)
+        if pivot is None:
+            return None
+        sign = 1 if quad[pivot][pivot] > 0 else -1
+        c = Q(0)
+        lp = rational_sqrt(sign * quad[pivot][pivot])
+        if lp is None:
+            return None
+        l = [sign * quad[pivot][i] / lp for i in range(nvars)]
+        l[pivot] = lp
+    # verify
+    form = poly_const(c)
+    for i, li in enumerate(l):
+        form = poly_add(form, poly_scale(li, poly_var(i)))
+    square = poly_scale(Q(sign), poly_mul(form, form))
+    if square != p:
+        return None
+    return sign, (c, *l)
+
+
+def escape_vector_oracle(g: LieAlgebra, m: Subspace, directions: tuple[int, ...],
+                   d: int) -> tuple[list[Poly], int]:
+    """Symbolic v = e_d + sum t_i e_(other dirs) + sum s_j m_j; returns (v, nvars)."""
+    others = [x for x in directions if x != d]
+    nvars = len(others) + m.dim
+    v: list[Poly] = [dict() for _ in range(g.dim)]
+    v[d] = poly_const(Q(1))
+    for t, coord in enumerate(others):
+        v[coord] = poly_add(v[coord], poly_var(t))
+    for jdx, row in enumerate(m.rows):
+        var = poly_var(len(others) + jdx)
+        for coord, c in enumerate(row):
+            if c != 0:
+                v[coord] = poly_add(v[coord], poly_scale(c, var))
+    return v, nvars
+
+
+def double_bracket_oracle(g: LieAlgebra, probe: Vec, v: list[Poly]) -> list[Poly]:
+    p_sym = [poly_const(c) for c in probe]
+    inner = sym_bracket_oracle(g, p_sym, v)
+    return sym_bracket_oracle(g, v, inner)
+
+
+def affine_system_infeasible_oracle(forms: list[tuple[Fraction, ...]], nvars: int) -> bool:
+    """No common real zero of the affine forms (c, l_1..l_n)."""
+    rows = [form[1:] for form in forms]
+    rhs = [-form[0] for form in forms]
+    res = solve_linear(Matrix.from_rows(rows, nvars), tuple(rhs))
+    return res.particular is None
+
+
+def envelope_witnesses_oracle(g: LieAlgebra, m: Subspace) -> tuple | None:
+    """The (direction, single, squares) witnesses of the envelope certificate
+    on m, probing with the basis vectors, or None where a direction fails."""
+    directions = tuple(j for j in range(g.dim) if j not in set(m.pivots))
+    probes = [g.basis_vector(i) for i in range(g.dim)]
+    witnesses = []
+    for d in directions:
+        v, nvars = escape_vector_oracle(g, m, directions, d)
+        found = None
+        square_pool: list[tuple[Vec, int]] = []
+        square_forms: list[tuple[Fraction, ...]] = []
+        for probe in probes:
+            qvec = double_bracket_oracle(g, probe, v)
+            for coord in range(g.dim):
+                p = qvec[coord]
+                if not p:
+                    continue
+                if poly_never_zero(p, nvars):
+                    found = (d, (probe, coord), None)
+                    break
+                sq = poly_as_affine_square(p, nvars)
+                if sq is not None:
+                    square_pool.append((probe, coord))
+                    square_forms.append(sq[1])
+            if found:
+                break
+        if not found and square_forms and affine_system_infeasible_oracle(square_forms, nvars):
+            found = (d, None, tuple(square_pool))
+        if not found:
+            return None
+        witnesses.append(found)
+    return tuple(witnesses)

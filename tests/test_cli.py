@@ -357,6 +357,20 @@ def test_run_catalog_export_with_params():
     assert reparsed.symplectic.omega.rows == entry.symplectic.omega.rows
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_run_catalog_export_of_a_cotangent_algebra(tmp_path, n):
+    """T*h carries the flat connection of h, which lives on h and not on T*h:
+    the export writes no nabla lines for it, and the file validates."""
+    code, out = run(["catalog", f"tn_cotangent?n={n}"])
+    assert code == 0
+    text = json.loads(out)["file"]
+    assert "nabla" not in text
+    path = tmp_path / "tn.alg"
+    path.write_text(text)
+    code, out = run(["validate", str(path)])
+    assert code == 0 and json.loads(out)["dim"] == build("tn_cotangent", n=n).algebra.dim
+
+
 def test_optimized_run_prints_the_same_output():
     """Invariant checks raise exceptions, so ``python -O`` changes nothing."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

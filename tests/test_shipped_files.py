@@ -132,3 +132,13 @@ def test_derived_algebra_is_read_from_the_algebra():
              and node.func.id == "bracket_span" and len(node.args) >= 2
              and all(_is_full_subspace(a) for a in node.args[-2:])]
     assert found == []
+
+
+def test_certificates_bracket_through_liealg():
+    """``certificates.py`` reads neither ``.nonzero`` nor ``.integer_constants``:
+    its double brackets go through ``liealg.integer_brackets``, the routine
+    ``bracket_span`` uses."""
+    tree = ast.parse((PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("nonzero", "integer_constants")]
+    assert found == []
