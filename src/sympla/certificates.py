@@ -2,10 +2,9 @@
 
 Three mechanisms, all exact:
 
-* envelope certificates: symbolic double brackets, as integer quadratic
-  forms, showing that every abelian ideal lies inside a candidate abelian
-  ideal m, via coordinate polynomials that provably never vanish over the
-  reals;
+* envelope certificates: semidefinite quadratic forms v -> [v, [p, v]]_k,
+  as integer matrices, whose common radical lies inside a candidate abelian
+  ideal m, which shows that every abelian ideal lies in m;
 * invariant-subspace traps: a primary decomposition of m under commuting
   adjoint operators with pairwise coprime characteristic factors, whose
   component sums enumerate every ideal of the algebra inside m;
@@ -16,7 +15,6 @@ Three mechanisms, all exact:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +32,6 @@ from .exactla import (
     poly_eval_matrix,
     rational_roots,
     rational_sqrt,
-    vunit,
 )
 from .liealg import (
     LieAlgebra,
@@ -45,100 +42,73 @@ from .liealg import (
     integer_brackets,
     integer_support,
     is_ideal,
+    nilpotency_class,
 )
 from .symplectic import SymplecticLieAlgebra, isotropy_report, omega_orthogonal
 
 # ---------------------------------------------------------------------------
 # envelope certificates
 #
-# The escape vector of direction d is v = e_d + sum t_x e_x + sum s_j m_j, x
-# over the other directions.  The unit vectors of the directions and the
-# integer rows of m (m_j times lambda_j > 0) form a basis R of g, and
-# v = sum u_a R_a with u_d = 1, u_x = t_x and u_j = s_j / lambda_j.  Over the
-# integer constants (D, D·c) and an integer probe L·p (L > 0),
-# Q_ab = [R_a, [L·p, R_b]] is D²L times the true double bracket, so
-# coordinate k of [v, [p, v]] is u^T S u / (2D²L) with the symmetric integer
-# matrix S_ab = Q_ab[k] + Q_ba[k].  Rescaling the variables by lambda_j > 0
-# and the form by 2D²L > 0 keeps whether it has a real zero, whether its
-# quadratic part is semidefinite and which affine forms vanish where it
-# does; the one test that sees the factor is whether the form is ± the
-# square of a rational affine form, which asks that 2L|S_rr| be a square.
-
-
-@dataclass(frozen=True)
-class DirectionWitness:
-    direction: int  # coordinate index of the escape direction
-    single: tuple[Vec, int] | None  # (probe, coordinate) never-zero polynomial
-    squares: tuple[tuple[Vec, int], ...] | None  # jointly infeasible affine squares
+# For a probe p and a coordinate k, q(v) = [v, [p, v]]_k is a quadratic form
+# on g.  If v lies in an abelian ideal then so does [p, v], and q(v) = 0; when
+# q is semidefinite, q(v) = 0 puts v in the radical of q.  So every abelian
+# ideal lies in the common radical of any family of semidefinite forms, and
+# the certificate holds when that radical lies in m: the row span of their
+# matrices contains the annihilator of m.  Over the integer constants (D, D·c)
+# and an integer probe L·p (L > 0), Q_ab = [e_a, [L·p, e_b]] is D²L times the
+# true double bracket, so q(v) = v^T S v / (2D²L) with the symmetric integer
+# matrix S_ab = Q_ab[k] + Q_ba[k]; the positive factor changes neither the
+# sign nor the radical.
 
 
 @dataclass(frozen=True)
 class EnvelopeCertificate:
     m: Subspace
-    directions: tuple[int, ...]
-    witnesses: tuple[DirectionWitness, ...]
+    pairs: tuple[tuple[Vec, int], ...]  # (probe, coordinate) of semidefinite forms
     nondegenerate: bool
 
 
-def escape_basis(g: LieAlgebra, m: Subspace) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
-    """The escape directions (the coordinates that are not pivots of m) and
-    the supports of the basis R: their unit vectors, then the integer rows of m."""
-    pivots = set(m.pivots)
-    directions = tuple(j for j in range(g.dim) if j not in pivots)
-    return directions, [[(j, 1)] for j in directions] + [integer_support(r)
-                                                          for r in m.integer_rows]
-
-
-def double_bracket_forms(g: LieAlgebra, basis: list[list[tuple[int, int]]],
-                         probe: Vec) -> tuple[int, list[list[list[int]] | None]]:
-    """(L, forms): L > 0 clears the denominators of the probe, and forms[k] is
-    the matrix S of coordinate k of [v, [p, v]] over the basis R (None when
-    that coordinate is zero)."""
+def double_bracket_forms(g: LieAlgebra, probe: Vec) -> list[list[list[int]]]:
+    """The matrix S of coordinate k of [v, [p, v]] over the unit basis, for
+    every k."""
     scale = math.lcm(*(x.denominator for x in probe))
     p = integer_support([x.numerator * (scale // x.denominator) for x in probe])
+    basis = [[(a, 1)] for a in range(g.dim)]
     inner = [integer_support(w) for w in integer_brackets(g, p, basis)]
     q = [integer_brackets(g, r, inner) for r in basis]
-    n = len(basis)
-    forms = []
-    for k in range(g.dim):
-        form = [[q[a][b][k] + q[b][a][k] for b in range(n)] for a in range(n)]
-        forms.append(form if any(map(any, form)) else None)
-    return scale, forms
+    n = g.dim
+    return [[[q[a][b][k] + q[b][a][k] for b in range(n)] for a in range(n)] for k in range(n)]
 
 
-def form_never_zero(form: list[list[int]], t: int) -> bool:
-    """u^T S u with u_t = 1 is c + (a quadratic form in the other u) with
-    c != 0 and sign(c)·S positive semidefinite: all its principal minors on
-    the support are nonnegative."""
-    c = form[t][t]
-    if c == 0 or any(x for b, x in enumerate(form[t]) if b != t):
-        return False
-    sign = 1 if c > 0 else -1
-    support = [a for a, row in enumerate(form) if a != t and any(row)]
-    return all(sign ** size * Matrix.from_rows([[form[a][b] for b in subset] for a in subset],
-                                               size).det() >= 0
-               for size in range(1, len(support) + 1)
-               for subset in itertools.combinations(support, size))
+def semidefinite(form: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix is positive or negative
+    semidefinite: a fraction-free symmetric elimination of sign·S (sign that
+    of its first nonzero diagonal entry) pivots on nonzero diagonal entries,
+    which must all be positive, and must end in the zero matrix.  Each update
+    is divided exactly by the previous pivot, as in Bareiss's algorithm."""
+    sign = next((1 if row[a] > 0 else -1 for a, row in enumerate(form) if row[a]), 1)
+    work = [[sign * x for x in row] for row in form]
+    live = list(range(len(work)))
+    prev = 1
+    while live:
+        r = next((a for a in live if work[a][a]), None)
+        if r is None:
+            return not any(work[a][b] for a in live for b in live)
+        pivot = work[r][r]
+        if pivot < 0:
+            return False
+        live.remove(r)
+        row_r = work[r]
+        for a in live:
+            row_a, x = work[a], work[a][r]
+            for b in live:
+                row_a[b] = (pivot * row_a[b] - x * row_r[b]) // prev
+        prev = pivot
+    return True
 
 
-def form_affine_square(form: list[list[int]], scale: int) -> list[int] | None:
-    """A row S_r of S when the coordinate is ± the square of a rational affine
-    form: S has rank one and 2L|S_rr| is a square.  The coordinate vanishes
-    exactly where S_r · u does."""
-    n = len(form)
-    r = next((a for a in range(n) if form[a][a]), None)
-    if r is None:
-        return None
-    row, pivot = form[r], form[r][r]
-    if any(pivot * form[a][b] != row[a] * row[b] for a in range(n) for b in range(a, n)):
-        return None
-    factor = 2 * scale * abs(pivot)
-    return row if math.isqrt(factor) ** 2 == factor else None
-
-
-def _affine_system_infeasible(forms: list[list[int]], t: int, n: int) -> bool:
-    """No u with u_t = 1 on which every form vanishes: e_t lies in their span."""
-    return Subspace.from_integer_rows(n, forms).contains_vector(vunit(n, t))
+def _is_abelian_ideal(g: LieAlgebra, m: Subspace) -> bool:
+    return is_ideal(g, m) and brackets_within(g, m, m, Subspace.zero(g.dim))
 
 
 def build_envelope_certificate(
@@ -147,85 +117,53 @@ def build_envelope_certificate(
 ) -> EnvelopeCertificate | None:
     """Certify that every abelian ideal is contained in m.
 
-    For each escape direction the double bracket [v, [p, v]] of a symbolic
-    vector with unit coefficient there must have a coordinate polynomial with
-    no real zero, or a jointly infeasible family of affine squares; the
-    probes p are the basis vectors, and each probe's forms are computed once.
+    Walks the unit probes and, for each, the coordinates in order, keeping a
+    form when it is semidefinite and grows the row span of the forms kept so
+    far; stops as soon as that span contains the annihilator of m.
     """
     g = s.algebra
     if m is None:
         m = abelian_envelope_candidate(g)
         if m is None:
             return None
-    if not (is_ideal(g, m) and brackets_within(g, m, m, Subspace.zero(g.dim))):
+    if not _is_abelian_ideal(g, m):
         return None
-    directions, basis = escape_basis(g, m)
-    probes = [g.basis_vector(i) for i in range(g.dim)]
-    tables = functools.cache(lambda i: double_bracket_forms(g, basis, probes[i]))
-    witnesses = []
-    for t, d in enumerate(directions):
-        found: DirectionWitness | None = None
-        square_pool: list[tuple[Vec, int]] = []
-        square_forms: list[list[int]] = []
-        for i, probe in enumerate(probes):
-            scale, forms = tables(i)
-            for coord, form in enumerate(forms):
-                if form is None:
-                    continue
-                if form_never_zero(form, t):
-                    found = DirectionWitness(d, (probe, coord), None)
-                    break
-                sq = form_affine_square(form, scale)
-                if sq is not None:
-                    square_pool.append((probe, coord))
-                    square_forms.append(sq)
-            if found:
+    need = m.annihilator()
+    span = Subspace.zero(g.dim)
+    radical = Subspace.full(g.dim).integer_rows  # spans the common radical of the kept forms
+    pairs: list[tuple[Vec, int]] = []
+    forms = ((probe, k, form) for probe in map(g.basis_vector, range(g.dim))
+             for k, form in enumerate(double_bracket_forms(g, probe)))
+    while not span.contains(need):
+        for probe, k, form in forms:
+            # a form grows the span exactly when it does not vanish on the radical
+            if any(sum(x * y for x, y in zip(row, v)) for v in radical for row in form) \
+                    and semidefinite(form):
+                pairs.append((probe, k))
+                span = Subspace.from_integer_rows(g.dim, span.integer_rows + tuple(form))
+                radical = span.annihilator().integer_rows
                 break
-        if not found and square_forms \
-                and _affine_system_infeasible(square_forms, t, g.dim):
-            found = DirectionWitness(d, None, tuple(square_pool))
-        if not found:
+        else:
             return None
-        witnesses.append(found)
-    rep = isotropy_report(s, m)
-    return EnvelopeCertificate(m, directions, tuple(witnesses), rep.nondegenerate)
+    return EnvelopeCertificate(m, tuple(pairs), isotropy_report(s, m).nondegenerate)
 
 
 def verify_no_abelian_escape(s: SymplecticLieAlgebra, cert: EnvelopeCertificate) -> bool:
-    """Re-run the computation stored in the certificate: one witness per
-    escape direction, in order."""
+    """Recompute every listed form, check that it is semidefinite and that
+    their row span contains the annihilator of m."""
     g = s.algebra
-    if not (is_ideal(g, cert.m) and brackets_within(g, cert.m, cert.m, Subspace.zero(g.dim))):
+    if not _is_abelian_ideal(g, cert.m) \
+            or isotropy_report(s, cert.m).nondegenerate != cert.nondegenerate:
         return False
-    directions, basis = escape_basis(g, cert.m)
-    if cert.directions != directions \
-            or tuple(w.direction for w in cert.witnesses) != directions:
-        return False
-
-    def form(probe: Vec, coord: int) -> tuple[int, list[list[int]] | None]:
+    rows: list[list[int]] = []
+    for probe, coord in cert.pairs:
         if len(probe) != g.dim or not 0 <= coord < g.dim:
-            return 1, None
-        scale, forms = double_bracket_forms(g, basis, probe)
-        return scale, forms[coord]
-
-    for t, witness in enumerate(cert.witnesses):
-        if witness.single is not None:
-            _, f = form(*witness.single)
-            if f is None or not form_never_zero(f, t):
-                return False
-        elif witness.squares is not None:
-            squares = []
-            for probe, coord in witness.squares:
-                scale, f = form(probe, coord)
-                sq = None if f is None else form_affine_square(f, scale)
-                if sq is None:
-                    return False
-                squares.append(sq)
-            if not _affine_system_infeasible(squares, t, g.dim):
-                return False
-        else:
             return False
-    return True
+        form = double_bracket_forms(g, probe)[coord]
+        if not semidefinite(form):
+            return False
+        rows.extend(form)
+    return Subspace.from_integer_rows(g.dim, rows).contains(cert.m.annihilator())
 
 
 def abelian_envelope_candidate(g: LieAlgebra) -> Subspace | None:
@@ -233,7 +171,7 @@ def abelian_envelope_candidate(g: LieAlgebra) -> Subspace | None:
     if g.dim == 0:
         return Subspace.zero(0)
     cand = centralizer(g, derived_algebra(g))
-    if is_ideal(g, cand) and brackets_within(g, cand, cand, Subspace.zero(g.dim)):
+    if _is_abelian_ideal(g, cand):
         return cand
     return None
 
@@ -327,9 +265,13 @@ def _component_irreducible(comp_dim: int, restricted_ops: list[Matrix]) -> bool:
 def invariant_ideal_trap(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap | None:
     """Enumerate every ideal of the algebra contained in m, when m splits into
     irreducible components under commuting adjoint operators with pairwise
-    coprime characteristic factors."""
+    coprime characteristic factors.
+
+    On a nilpotent algebra every ad x is nilpotent on m, so no operator
+    splits m and no component of dimension above one is irreducible: the
+    trap fails whenever m.dim > 1, and returns None at once."""
     g = s.algebra
-    if not is_ideal(g, m):
+    if not is_ideal(g, m) or (m.dim > 1 and nilpotency_class(g) is not None):
         return None
     # adjoint operators restricted to m, keeping a pairwise commuting family
     ops: list[Matrix] = []

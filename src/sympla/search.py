@@ -42,7 +42,6 @@ from .exactla import (
     gram,
     is_invariant,
     rational_sqrt,
-    solve_linear,
     vunit,
 )
 from .liealg import (
@@ -59,7 +58,6 @@ from .liealg import (
     killing_radical,
     nilpotency_class,
 )
-from .oxidation import recover_oxidation_data
 from .reduction import ReductionStep, fingerprint, reduce
 from .symplectic import (
     SymplecticLieAlgebra,
@@ -277,35 +275,6 @@ def _central_lines(s: SymplecticLieAlgebra) -> list[Subspace]:
     return lines
 
 
-def _abelian_reduction_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
-    """Central line with abelian reduction: pull back an invariant Lagrangian
-    subspace of the reduced space through the quadratic-condition machinery."""
-    g = s.algebra
-    if nilpotency_class(g) is None:
-        return None
-    for line in _central_lines(s):
-        step = reduce(s, line)
-        if not derived_algebra(step.reduced.algebra).is_zero():
-            continue
-        h = line.rows[0]
-        # xi with omega(xi, H) = 1
-        res = solve_linear(Matrix((s.omega.matvec(h),), s.dim), (Q(-1),))
-        if res.particular is None:
-            continue
-        xi = res.particular
-        data, w_rows = recover_oxidation_data(s, h, xi)
-        if nilpotency_index(data.phi) is None:
-            continue
-        space = SymplecticVectorSpace(data.base.dim, data.omega_bar)
-        bar = invariant_lagrangian_nilpotent(space, data.phi)
-        cand = Subspace.span(s.dim, [h] + [combine(r, w_rows, s.dim) for r in bar.rows])
-        try:
-            return _verify_lagrangian_ideal(s, cand)
-        except ValidationError:
-            continue
-    return None
-
-
 def _three_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
     """Recursive construction for three-step nilpotent algebras of dim <= 8."""
     g = s.algebra
@@ -458,7 +427,6 @@ def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
     for builder, name in (
         (_two_step_lagrangian, "two-step"),
         (_filiform_lagrangian, "filiform"),
-        (_abelian_reduction_lagrangian, "abelian-reduction"),
         (_three_step_lagrangian, "three-step"),
         (_low_dim_lagrangian, "low-dimension"),
     ):

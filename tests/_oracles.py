@@ -3,9 +3,12 @@ derived two-forms, kept here to check ``exactla.derive_form``,
 ``exactla.gram`` and their callers against; and the Fraction forms of the
 bracket span, the series, the center, the centralizer, the Killing radical,
 the Jacobi defect and the closedness check, to check the integer constants
-against; and the envelope certificate on Fraction polynomial dicts
+against; the envelope certificate on Fraction polynomial dicts
 (``sym_bracket_oracle`` and ``double_bracket_oracle``), to check its integer
-quadratic forms against.
+quadratic forms against, with the semidefinite test as principal minors and
+the previous per-direction certificate (``envelope_witnesses_oracle``), which
+the current one must dominate; and the invariant-subspace trap without its
+exit on nilpotent algebras.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -18,8 +21,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from sympla.endoalg import EndoQuadraticData, SymplecticVectorSpace
 from fractions import Fraction
+
+from sympla.certificates import (
+    InvariantTrap,
+    _component_irreducible,
+    _restrict,
+    _split_components,
+    _to_ambient,
+)
+from sympla.endoalg import EndoQuadraticData, SymplecticVectorSpace
 
 from sympla.exactla import (
     DimensionMismatch,
@@ -40,8 +51,10 @@ from sympla.liealg import (
     ValidationError,
     combos,
     is_derivation,
+    is_ideal,
 )
 from sympla.oxidation import OxidationData
+from sympla.symplectic import SymplecticLieAlgebra
 
 
 def evaluate_oracle(c: Cochain, *args: Iterable) -> Vec:
@@ -343,6 +356,19 @@ def _is_psd(quad: list[list[Fraction]], support: list[int]) -> bool:
     return True
 
 
+def semidefinite_oracle(form) -> bool:
+    """S or -S has every principal minor nonnegative."""
+    n = len(form)
+    return any(_is_psd([[Q(sign * x) for x in row] for row in form], list(range(n)))
+               for sign in (1, -1))
+
+
+def hessian_oracle(p: Poly, nvars: int) -> Matrix:
+    """The symmetric matrix H of a quadratic form p = t^T H t."""
+    _, _, quad = _quadratic_parts(p, nvars)
+    return Matrix.from_rows(quad, nvars)
+
+
 def poly_never_zero(p: Poly, nvars: int) -> bool:
     """True when p = c + Q(t) with c != 0 and sign(c) Q positive semidefinite."""
     c0, lin, quad = _quadratic_parts(p, nvars)
@@ -451,3 +477,39 @@ def envelope_witnesses_oracle(g: LieAlgebra, m: Subspace) -> tuple | None:
             return None
         witnesses.append(found)
     return tuple(witnesses)
+
+
+def invariant_ideal_trap_oracle(s: SymplecticLieAlgebra, m: Subspace) -> InvariantTrap | None:
+    """``certificates.invariant_ideal_trap`` without its early exit on
+    nilpotent algebras."""
+    g = s.algebra
+    if not is_ideal(g, m):
+        return None
+    ops: list[Matrix] = []
+    for i in range(g.dim):
+        op = g.ad(g.basis_vector(i))
+        rop = _restrict(op, m)
+        if rop is None or rop.is_zero():
+            continue
+        if all(rop.mul(o).sub(o.mul(rop)).is_zero() for o in ops):
+            ops.append(rop)
+    ops = ops + [o.mul(o) for o in ops]
+    comps = _split_components([Subspace.full(m.dim)], ops)
+    if comps is None:
+        return None
+    for comp in comps:
+        rops = [rop for rop in (_restrict(op, comp) for op in ops) if rop is not None]
+        if not _component_irreducible(comp.dim, rops):
+            return None
+    if len(comps) > 12:
+        return None
+    ambient_comps = [_to_ambient(c, m) for c in comps]
+    ideals = []
+    for mask in range(1 << len(ambient_comps)):
+        total = Subspace.zero(g.dim)
+        for t, comp in enumerate(ambient_comps):
+            if mask & (1 << t):
+                total = total.sum(comp)
+        if is_ideal(g, total):
+            ideals.append(total)
+    return InvariantTrap(m, tuple(ambient_comps), tuple(ideals))

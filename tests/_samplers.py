@@ -76,13 +76,32 @@ def random_nondegenerate_skew(rng: random.Random, n: int, span: int = 3) -> Matr
 
 
 def random_invertible(rng: random.Random, n: int, span: int = 2) -> tuple[Matrix, Matrix]:
-    """(P, P^-1) for a random invertible P, the inverse read off rref [P | I]."""
+    """(P, P^-1) for a random invertible P."""
     while True:
         p = random_matrix(rng, n, span)
         if p.det() != 0:
-            break
+            return p, _inverse(p)
+
+
+def random_unimodular(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+    """(P, P^-1) for P = Pi L U: unit triangular L and U with off-diagonal
+    entries in {-1, 0, 1}, then a row permutation Pi, so det P = +-1."""
+    low = [[Q(1) if i == j else Q(rng.choice((-1, 0, 1)) if j < i else 0) for j in range(n)]
+           for i in range(n)]
+    up = [[Q(1) if i == j else Q(rng.choice((-1, 0, 1)) if j > i else 0) for j in range(n)]
+          for i in range(n)]
+    lu = Matrix.from_rows(low, n).mul(Matrix.from_rows(up, n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Matrix(tuple(lu.rows[perm[i]] for i in range(n)), n)
+    return p, _inverse(p)
+
+
+def _inverse(p: Matrix) -> Matrix:
+    """P^-1 read off rref [P | I]."""
+    n = p.cols
     red, _ = Matrix(tuple(r + vunit(n, i) for i, r in enumerate(p.rows)), 2 * n).rref()
-    return p, Matrix(tuple(r[n:] for r in red.rows), n)
+    return Matrix(tuple(r[n:] for r in red.rows), n)
 
 
 def change_of_basis(g: LieAlgebra, p: Matrix, p_inv: Matrix) -> LieAlgebra:

@@ -2,15 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import invariant_ideal_trap_oracle
 from _samplers import (
     abelian_oxidation_data,
     change_of_basis,
     heisenberg_oxidation_data,
+    random_invertible,
     random_nondegenerate_skew,
 )
-from sympla.catalog import names as catalog_names
+from sympla.catalog import build, names as catalog_names
 from sympla.certificates import (
+    abelian_envelope_candidate,
     build_envelope_certificate,
     invariant_ideal_trap,
     irreducible_structure_certificate,
@@ -38,7 +42,15 @@ from sympla.search import (
     symplectic_length_upper,
     symplectic_rank_bounds,
 )
-from sympla.symplectic import isotropy_report, omega_orthogonal, validate_symplectic
+from sympla.symplectic import (
+    SymplecticLieAlgebra,
+    isotropy_report,
+    omega_orthogonal,
+    validate_symplectic,
+)
+
+NILPOTENT = tuple(n for n in catalog_names()
+                  if build(n).algebra.dim and nilpotency_class(build(n).algebra) is not None)
 
 
 def two_step_example():
@@ -143,7 +155,7 @@ def test_envelope_vacuous_for_abelian():
     s = validate_symplectic(g, random_nondegenerate_skew(rng, 4))
     cert = build_envelope_certificate(s)
     assert cert is not None
-    assert cert.directions == ()
+    assert cert.pairs == ()
     assert verify_no_abelian_escape(s, cert)
 
 
@@ -158,6 +170,31 @@ def test_trap_fdim_metab(cat):
     iso = [i for i in trap.ideals
            if i.dim and isotropy_report(e.symplectic, i).isotropic]
     assert max(i.dim for i in iso) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(NILPOTENT), st.booleans(), st.integers(0, 2**32))
+def test_trap_exits_on_nilpotent_algebras(name, dense, seed):
+    """On a nilpotent algebra the trap without its early exit fails on every
+    ideal of dimension above one, as the exit does, in the catalog basis and
+    in a random rational one; on lines the two agree."""
+    s = build(name).symplectic
+    if dense:
+        p, p_inv = random_invertible(random.Random(seed), s.dim)
+        s = SymplecticLieAlgebra(change_of_basis(s.algebra, p, p_inv),
+                                 p.transpose().mul(s.omega).mul(p))
+    g = s.algebra
+    ideals = {center(g), *descending_central_series(g).terms,
+              *ascending_central_series(g).terms}
+    envelope = abelian_envelope_candidate(g)
+    if envelope is not None:
+        ideals.add(envelope)
+    assert any(m.dim > 1 for m in ideals)
+    for m in ideals:
+        expected = invariant_ideal_trap_oracle(s, m)
+        assert invariant_ideal_trap(s, m) == expected
+        if m.dim > 1:
+            assert expected is None
 
 
 def test_rank_bounds_catalog_values(cat):
@@ -230,8 +267,6 @@ def test_lagrangian_ideal_abelian_reduction_path():
 
 
 def test_lagrangian_ideal_trivial():
-    from sympla.catalog import build
-
     res = lagrangian_ideal(build("trivial").symplectic)
     assert res.status == "found"
 
@@ -318,8 +353,6 @@ def test_completely_reducible_and_length(cat):
     assert is_completely_reducible(cat("fdim_metab").symplectic)
     s = two_step_example()
     assert symplectic_length_upper(s) == 1
-    from sympla.catalog import build
-
     assert symplectic_length_upper(build("trivial").symplectic) == 0
     assert symplectic_length_upper(cat("irr6").symplectic) == 0
 

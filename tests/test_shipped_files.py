@@ -142,3 +142,27 @@ def test_certificates_bracket_through_liealg():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("nonzero", "integer_constants")]
     assert found == []
+
+
+ENVELOPE_SECTION = ("EnvelopeCertificate", "double_bracket_forms", "semidefinite",
+                    "_is_abelian_ideal", "build_envelope_certificate",
+                    "verify_no_abelian_escape", "abelian_envelope_candidate")
+
+
+def test_envelope_takes_no_subsets_and_no_determinants():
+    """The envelope certificate is one elimination per form: its section of
+    ``certificates.py`` enumerates no subsets (``combinations``), and the file
+    calls ``.det(`` only inside ``irreducible_structure_certificate``."""
+    tree = ast.parse((PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ENVELOPE_SECTION) <= set(defs)
+    subsets = [node.lineno for name in ENVELOPE_SECTION for node in ast.walk(defs[name])
+               if isinstance(node, ast.Attribute) and node.attr == "combinations"
+               or isinstance(node, ast.Name) and node.id == "combinations"]
+    assert subsets == []
+    allowed = {id(node) for node in ast.walk(defs["irreducible_structure_certificate"])}
+    dets = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "det" and id(node) not in allowed]
+    assert dets == []
