@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .certificates import (
     EnvelopeCertificate,
@@ -243,60 +243,39 @@ def _verify_lagrangian_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> Subspace
     return sub
 
 
-def _filiform_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
+# Class at most three is a fixed scope, not an option.  Without it the
+# recursion decided none of the 84 class-four runs that search leaves open in
+# a probe of catalog entries, test algebras and oxidations in several bases
+# (g8 and Heisenberg oxidations), and each one spent about 20 ms reducing.
+def _central_series_lagrangian(
+    s: SymplecticLieAlgebra, ops: Sequence[Matrix] = ()
+) -> Subspace | None:
+    """Lagrangian ideal of s invariant under the derivations ops, or None;
+    s must be nilpotent of class at most three.
+
+    The last nonzero term j of the descending central series is central and
+    lies in [g, g], which omega pairs to zero with the center, so j is an
+    isotropic ideal and j^perp is an ideal.  Reduce by j, push the operators
+    to j^perp / j together with those induced by the complement directions,
+    recurse, and lift; the lift is kept only if it verifies.
+    """
     g = s.algebra
     k = nilpotency_class(g)
-    if k is None or g.dim % 2 or k != g.dim - 1 or g.dim < 2:
+    if k is None or k > 3:
         return None
-    ell = g.dim // 2
-    chain = descending_central_series(g)
-    return chain.terms[ell - 1] if len(chain.terms) > ell - 1 else None
-
-
-def _two_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
-    g = s.algebra
-    k = nilpotency_class(g)
-    if k is None or k > 2:
-        return None
-    derived = derived_algebra(g)
-    if not isotropy_report(s, derived).isotropic:
-        return None
-    return extend_to_maximal_isotropic(SymplecticVectorSpace(s.dim, s.omega), derived)
-
-
-def _central_lines(s: SymplecticLieAlgebra) -> list[Subspace]:
-    z = center(s.algebra)
-    lines = [Subspace.span(s.dim, [row]) for row in z.rows]
-    # small integral combinations widen the search deterministically
-    for a, b in itertools.combinations(range(z.dim), 2):
-        for ca, cb in ((1, 1), (1, -1)):
-            v = tuple(ca * x + cb * y for x, y in zip(z.rows[a], z.rows[b]))
-            lines.append(Subspace.span(s.dim, [v]))
-    return lines
-
-
-def _three_step_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
-    """Recursive construction for three-step nilpotent algebras of dim <= 8."""
-    g = s.algebra
-    k = nilpotency_class(g)
-    if k is None or k > 3 or g.dim > 8:
-        return None
-    if k <= 2:
-        return _two_step_lagrangian(s)
-    c2 = descending_central_series(g).terms[2]
-    if not isotropy_report(s, c2).isotropic:
-        return None
-    step = reduce(s, c2)
-    red = step.reduced
-    phi_ops = _induced_complement_operators(s, step)
-    bar = _invariant_lagrangian_ideal_in_reduction(red, phi_ops)
+    if k <= 1:
+        return _joint_invariant_lagrangian(s, ops)
+    step = reduce(s, descending_central_series(g).terms[k - 1])
+    # an op that does not keep j^perp is dropped; the final invariance check catches it
+    pushed = (_push_operator(step, op) for op in ops)
+    inner = [op for op in pushed if op is not None] + _induced_complement_operators(s, step)
+    bar = _central_series_lagrangian(step.reduced, inner)
     if bar is None:
         return None
     cand = step.lift_subspace(bar)
-    try:
-        return _verify_lagrangian_ideal(s, cand)
-    except ValidationError:
-        return None
+    if is_ideal(g, cand) and isotropy_report(s, cand).lagrangian and is_invariant(cand, ops):
+        return cand
+    return None
 
 
 def _induced_complement_operators(s: SymplecticLieAlgebra, step: ReductionStep) -> list[Matrix]:
@@ -307,55 +286,6 @@ def _induced_complement_operators(s: SymplecticLieAlgebra, step: ReductionStep) 
         cols = [dec.split(s.algebra.bracket(nrow, w))[1] for w in step.w_rows]
         ops.append(Matrix(tuple(cols), step.reduced.dim).transpose())
     return ops
-
-
-def _invariant_lagrangian_ideal_in_reduction(
-    red: SymplecticLieAlgebra, phi_ops: list[Matrix]
-) -> Subspace | None:
-    """Lagrangian ideal of the reduced algebra invariant under the induced maps."""
-    g = red.algebra
-    k = nilpotency_class(g)
-    if k is None:
-        return None
-    if k == 0:
-        return Subspace.zero(0) if g.dim == 0 else None
-    if derived_algebra(g).is_zero():
-        # abelian reduction: joint invariant maximal isotropic subspace
-        return _joint_invariant_lagrangian(red, phi_ops)
-    if k == 2:
-        c1 = descending_central_series(g).terms[1]
-        if 2 * c1.dim == g.dim and isotropy_report(red, c1).isotropic:
-            return c1  # characteristic, hence invariant
-        # reduce by the commutator and pull back a joint invariant line
-        if not isotropy_report(red, c1).isotropic:
-            return None
-        step = reduce(red, c1)
-        inner_ops = [_push_operator(step, op) for op in phi_ops]
-        inner_ops += [_push_operator(step, g.ad(g.basis_vector(i))) for i in range(g.dim)]
-        inner_ops = [op for op in inner_ops if op is not None]
-        bar = _joint_invariant_lagrangian(step.reduced, inner_ops)
-        if bar is None:
-            return None
-        cand = step.lift_subspace(bar)
-        if is_ideal(g, cand) and isotropy_report(red, cand).lagrangian \
-                and is_invariant(cand, phi_ops):
-            return cand
-        return None
-    if k == 3 and g.dim <= 6:
-        c2 = descending_central_series(g).terms[2]
-        if not isotropy_report(red, c2).isotropic:
-            return None
-        step = reduce(red, c2)
-        inner_ops = [_push_operator(step, op) for op in phi_ops]
-        inner_ops = [op for op in inner_ops if op is not None]
-        bar = _invariant_lagrangian_ideal_in_reduction(step.reduced, inner_ops)
-        if bar is None:
-            return None
-        cand = step.lift_subspace(bar)
-        if is_ideal(g, cand) and isotropy_report(red, cand).lagrangian \
-                and is_invariant(cand, phi_ops):
-            return cand
-    return None
 
 
 def _push_operator(step: ReductionStep, op: Matrix) -> Matrix | None:
@@ -373,7 +303,7 @@ def _push_operator(step: ReductionStep, op: Matrix) -> Matrix | None:
 
 
 def _joint_invariant_lagrangian(
-    red: SymplecticLieAlgebra, ops: list[Matrix]
+    red: SymplecticLieAlgebra, ops: Sequence[Matrix]
 ) -> Subspace | None:
     """Common invariant maximal-isotropic subspace for nilpotent operator families.
 
@@ -424,61 +354,11 @@ def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
     if rank.lower == n // 2 and rank.lower_witness is not None:
         return LagrangianIdealResult(
             "found", _verify_lagrangian_ideal(s, rank.lower_witness), "search", rank)
-    for builder, name in (
-        (_two_step_lagrangian, "two-step"),
-        (_filiform_lagrangian, "filiform"),
-        (_three_step_lagrangian, "three-step"),
-        (_low_dim_lagrangian, "low-dimension"),
-    ):
-        cand = builder(s)
-        if cand is not None:
-            return LagrangianIdealResult(
-                "found", _verify_lagrangian_ideal(s, cand), name, rank)
+    cand = _central_series_lagrangian(s)
+    if cand is not None:
+        return LagrangianIdealResult(
+            "found", _verify_lagrangian_ideal(s, cand), "central-series", rank)
     return LagrangianIdealResult("unresolved", None, None, rank)
-
-
-def _low_dim_lagrangian(s: SymplecticLieAlgebra) -> Subspace | None:
-    """Class four in dimension six: reduce by a central line and lift.
-
-    Other nilpotent algebras of dimension at most six are left to the
-    two-step, filiform and three-step builders, which ``lagrangian_ideal``
-    tries first.
-    """
-    if s.dim != 6 or nilpotency_class(s.algebra) != 4:
-        return None
-    for line in _central_lines(s):
-        step = reduce(s, line)
-        phi_ops = _induced_complement_operators(s, step)
-        bar = _invariant_lagrangian_ideal_in_reduction(step.reduced, phi_ops)
-        if bar is None:
-            # the reduction may itself be filiform of class three
-            bar = _characteristic_lagrangian(step.reduced)
-        if bar is None:
-            continue
-        cand = step.lift_subspace(bar)
-        try:
-            return _verify_lagrangian_ideal(s, cand)
-        except ValidationError:
-            continue
-    return None
-
-
-def _characteristic_lagrangian(red: SymplecticLieAlgebra) -> Subspace | None:
-    """Characteristic Lagrangian ideals of small reductions: the commutator of
-    a filiform algebra or the center of a class-two algebra."""
-    g = red.algebra
-    k = nilpotency_class(g)
-    if k is None:
-        return None
-    if k == g.dim - 1 and g.dim % 2 == 0 and g.dim >= 2:
-        cand = descending_central_series(g).terms[g.dim // 2 - 1]
-        if isotropy_report(red, cand).lagrangian:
-            return cand
-    if k == 2:
-        z = center(g)
-        if 2 * z.dim == g.dim and isotropy_report(red, z).lagrangian:
-            return z
-    return None
 
 
 def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:

@@ -23,6 +23,7 @@ from sympla.liealg import (
     two_form_derive,
 )
 from sympla.oxidation import OxidationData
+from sympla.symplectic import SymplecticLieAlgebra
 
 Q0 = Q(0)
 
@@ -115,6 +116,14 @@ def change_of_basis(g: LieAlgebra, p: Matrix, p_inv: Matrix) -> LieAlgebra:
         if entry:
             brackets[(a, b)] = entry
     return LieAlgebra.from_brackets(g.labels, brackets)
+
+
+def unimodular_copy(s: SymplecticLieAlgebra, seed: int) -> tuple[SymplecticLieAlgebra, Matrix]:
+    """(copy, P): s in the basis of the columns of ``random_unimodular`` of the
+    seed, so that the vector r of the copy is P r in the basis of s."""
+    p, p_inv = random_unimodular(random.Random(seed), s.dim)
+    return SymplecticLieAlgebra(change_of_basis(s.algebra, p, p_inv),
+                                p.transpose().mul(s.omega).mul(p)), p
 
 
 def random_representation(rng: random.Random, g: LieAlgebra) -> Representation:

@@ -9,10 +9,12 @@ from _samplers import (
     abelian_oxidation_data,
     change_of_basis,
     heisenberg_oxidation_data,
+    heisenberg_pair_base,
     random_invertible,
     random_nondegenerate_skew,
+    unimodular_copy,
 )
-from sympla.catalog import build, names as catalog_names
+from sympla.catalog import build, find_symplectic_form, names as catalog_names
 from sympla.certificates import (
     abelian_envelope_candidate,
     build_envelope_certificate,
@@ -33,6 +35,7 @@ from sympla.liealg import (
 )
 from sympla.oxidation import symplectic_oxidation
 from sympla.search import (
+    _central_series_lagrangian,
     irreducible_base,
     is_completely_reducible,
     isotropic_ideals_enumerate,
@@ -371,54 +374,83 @@ def test_base_unresolved_never_wrong(cat):
     assert result.base.dim == 0
 
 
+CLASS_THREE_DIM_SIX = {(0, 1): {2: 1}, (0, 2): {3: 1}}
+CLASS_FOUR_DIM_SIX = (
+    {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}},
+    {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {5: 1}},
+)
+
+
+def _with_found_form(dim, brackets):
+    g = LieAlgebra.from_brackets(dim, brackets)
+    return validate_symplectic(g, find_symplectic_form(g))
+
+
+def _assert_lagrangian_ideal(s, sub):
+    assert is_ideal(s.algebra, sub)
+    assert isotropy_report(s, sub).lagrangian
+
+
 def test_three_step_construction_dim_six():
     """Class-three algebra with one-dimensional second descending term."""
-    from sympla.catalog import find_symplectic_form
-    from sympla.search import _three_step_lagrangian
-
-    g = LieAlgebra.from_brackets(
-        ("e1", "e2", "e3", "e4", "a", "b"),
-        {(0, 1): {2: 1}, (0, 2): {3: 1}})
-    assert nilpotency_class(g) == 3
-    s = validate_symplectic(g, find_symplectic_form(g))
-    direct = _three_step_lagrangian(s)
+    s = _with_found_form(6, CLASS_THREE_DIM_SIX)
+    assert nilpotency_class(s.algebra) == 3
+    direct = _central_series_lagrangian(s)
     assert direct is not None and direct.dim == 3
-    assert is_ideal(g, direct)
-    assert isotropy_report(s, direct).lagrangian
+    _assert_lagrangian_ideal(s, direct)
     assert lagrangian_ideal(s).status == "found"
 
 
 def test_three_step_construction_dim_eight():
     """Class-three algebra with two-dimensional second descending term."""
-    from sympla.catalog import find_symplectic_form
-    from sympla.search import _three_step_lagrangian
-
-    g = LieAlgebra.from_brackets(
+    s = _with_found_form(
         8, {(0, 1): {2: 1}, (0, 2): {3: 1}, (4, 5): {6: 1}, (4, 6): {7: 1}})
-    assert nilpotency_class(g) == 3
-    s = validate_symplectic(g, find_symplectic_form(g))
-    direct = _three_step_lagrangian(s)
+    assert nilpotency_class(s.algebra) == 3
+    direct = _central_series_lagrangian(s)
     assert direct is not None and direct.dim == 4
-    assert is_ideal(g, direct)
-    assert isotropy_report(s, direct).lagrangian
+    _assert_lagrangian_ideal(s, direct)
     assert lagrangian_ideal(s).status == "found"
 
 
 def test_class_four_dimension_six_construction():
-    from sympla.catalog import find_symplectic_form
-    from sympla.search import _low_dim_lagrangian
+    """Class four is outside the central-series reduction; search finds a
+    Lagrangian ideal of both algebras in their own basis and seven others."""
+    for brackets in CLASS_FOUR_DIM_SIX:
+        s = _with_found_form(6, brackets)
+        assert nilpotency_class(s.algebra) == 4
+        assert _central_series_lagrangian(s) is None
+        for copy in [s] + [unimodular_copy(s, seed)[0] for seed in range(1, 8)]:
+            res = lagrangian_ideal(copy)
+            assert res.status == "found"
+            _assert_lagrangian_ideal(copy, res.subspace)
 
-    for brackets in (
-        {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}},
-        {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (1, 2): {5: 1}},
-    ):
-        g = LieAlgebra.from_brackets(6, brackets)
-        assert nilpotency_class(g) == 4
-        s = validate_symplectic(g, find_symplectic_form(g))
-        direct = _low_dim_lagrangian(s)
-        assert direct is not None and direct.dim == 3
-        assert is_ideal(g, direct)
-        assert isotropy_report(s, direct).lagrangian
+
+def test_lagrangian_ideal_found_off_the_built_basis():
+    """In some of these bases search finds no coordinate Lagrangian ideal;
+    the central-series reduction needs no basis and decides all of them."""
+    hh, omega_hh = heisenberg_pair_base()
+    rng = random.Random(808)  # the oxidations of acceptance criterion 8
+    oxidations = [symplectic_oxidation(abelian_oxidation_data(rng, rng.choice((1, 2, 3))))
+                  for _ in range(25)]
+    pool = [validate_symplectic(hh, omega_hh), _with_found_form(6, CLASS_THREE_DIM_SIX),
+            oxidations[15], oxidations[22]]
+    for s in pool:
+        for seed in range(1, 8):
+            copy, _ = unimodular_copy(s, seed)
+            res = lagrangian_ideal(copy)
+            assert res.status == "found"
+            _assert_lagrangian_ideal(copy, res.subspace)
+
+
+def test_cotangent_lagrangian_ideal_in_dense_bases():
+    """T*h has the Lagrangian ideal h*; off the catalog basis of
+    tn_cotangent?n=4 only the central-series reduction finds one."""
+    s = build("tn_cotangent", n=4).symplectic
+    for seed in range(1, 4):
+        copy, p = unimodular_copy(s, seed)
+        res = lagrangian_ideal(copy)
+        assert res.status == "found" and res.certificate == "central-series"
+        _assert_lagrangian_ideal(s, Subspace.span(s.dim, [p.matvec(r) for r in res.subspace.rows]))
 
 
 def test_transfer_precondition_errors(cat):

@@ -49,6 +49,24 @@ def test_no_function_local_imports():
     assert found == []
 
 
+def test_module_imports_are_used():
+    """Every module-level import of a package module (``__init__.py`` and
+    ``from __future__`` aside) binds a name the module reads."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def test_no_assert_statements():
     """Invariant checks raise exceptions, which ``python -O`` cannot strip."""
     found = [f"{path.name}:{node.lineno}"
