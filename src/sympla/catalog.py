@@ -10,17 +10,20 @@ trivial.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .exactla import Matrix, Q, Subspace, gram, q, vunit
+from .exactla import Matrix, Q, Subspace, gram, integer_det, q, vunit
 from .lagext import ExtensionTriple, FlatLieAlgebra, lagrangian_extension
 from .liealg import (
     Cochain,
     Connection,
     LieAlgebra,
     ValidationError,
+    combos,
     matrix_as_two_form,
     require_valid,
     trivial_rep,
@@ -390,31 +393,42 @@ def find_symplectic_form(g: LieAlgebra) -> Matrix:
     """A non-degenerate closed two-form, found deterministically.
 
     Small signed subsets of the closed-form basis are scanned first; seeded
-    random rational combinations cover the higher-dimensional cases.
+    random integer combinations cover the higher-dimensional cases.  The
+    candidates are formed and tested on the basis scaled by one common
+    denominator d, as det(d·F) != 0 iff det F != 0; only the first
+    non-degenerate one becomes a Fraction matrix.
     """
     dmat = coboundary_matrix(trivial_rep(g), 2)
     z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
     n = g.dim
+    den = math.lcm(*(x.denominator for row in z2.rows for x in row))
+    supports = [[(t, x.numerator * (den // x.denominator)) for t, x in enumerate(row) if x]
+                for row in z2.rows]
+    pairs = combos(n, 2)
+
+    def nondegenerate(terms: Iterable[tuple[int, int]]) -> Matrix | None:
+        """The form sum c·z2.rows[b] over the (c, b) of terms, if non-degenerate."""
+        v = [0] * dmat.cols
+        for c, b in terms:
+            for t, x in supports[b]:
+                v[t] += c * x
+        skew = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, v):
+            skew[i][j], skew[j][i] = x, -x
+        if integer_det(skew) == 0:
+            return None
+        return two_form_as_matrix(Cochain(2, n, 1, tuple(Q(x, den) for x in v)))
+
     for rsize in range(1, min(z2.dim, 4) + 1):
         for subset in itertools.combinations(range(z2.dim), rsize):
             for signs in itertools.product((1, -1), repeat=rsize):
-                v = [Q(0)] * dmat.cols
-                for s_i, b_i in zip(signs, subset):
-                    for t, x in enumerate(z2.rows[b_i]):
-                        v[t] += s_i * x
-                cand = two_form_as_matrix(Cochain(2, n, 1, tuple(v)))
-                if cand.det() != 0:
+                cand = nondegenerate(zip(signs, subset))
+                if cand is not None:
                     return cand
     rng = random.Random(0)
     for _ in range(500):
-        v = [Q(0)] * dmat.cols
-        for row in z2.rows:
-            c = Q(rng.randint(-3, 3))
-            if c:
-                for t, x in enumerate(row):
-                    v[t] += c * x
-        cand = two_form_as_matrix(Cochain(2, n, 1, tuple(v)))
-        if cand.det() != 0:
+        cand = nondegenerate([(rng.randint(-3, 3), b) for b in range(z2.dim)])
+        if cand is not None:
             return cand
     raise ValidationError("no symplectic form found on this algebra")
 

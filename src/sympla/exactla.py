@@ -7,6 +7,11 @@ keeps rows primitive by gcd, and ``Matrix.det`` is Bareiss elimination.  Only
 the final reduced rows become Fractions again, and since the reduced form is
 unique they are the canonical Fraction RREF.  Subspaces are kept in reduced
 row-echelon form so that equal subspaces compare equal as tuples.
+
+Bilinear forms act on integers too: ``integer_gram`` is the Gram matrix of a
+subspace's integer rows under the form scaled once to integers, and
+``orthogonal_complement`` is the integer kernel (``integer_kernel``) of the
+rows d·F r, so neither multiplies a Fraction.
 """
 
 from __future__ import annotations
@@ -97,12 +102,21 @@ def _rref(rows: list[Sequence[Fraction]], cols: int) -> tuple[list[list[Fraction
 
 def _integer_rref(work: list[list[int]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """The nonzero reduced rows, as Fractions, and the pivot columns of the
-    span of integer rows; ``work`` is consumed.
+    span of integer rows; ``work`` is consumed."""
+    pivots = _integer_reduce(work, cols)
+    zero = Q(0)
+    return [[Q(x, work[i][p]) if x else zero for x in work[i]]
+            for i, p in enumerate(pivots)], pivots
+
+
+def _integer_reduce(work: list[list[int]], cols: int) -> list[int]:
+    """Reduce integer rows in place and return the pivot columns.
 
     Fraction-free Gauss-Jordan: row_i becomes p·row_i − f·row_r (p the pivot,
-    f = row_i[c], both divided by gcd(p, f)) divided by the gcd of its entries,
-    and only the pivot rows are divided by their pivots at the end.  The
-    reduced form is unique, so the rows equal those of Fraction elimination.
+    f = row_i[c], both divided by gcd(p, f)) divided by the gcd of its entries.
+    Afterwards row r holds the r-th pivot, and is zero in every other pivot
+    column; dividing the pivot rows by their pivots gives the reduced form,
+    which is unique, so the rows equal those of Fraction elimination.
     """
     pivots: list[int] = []
     r = 0
@@ -125,9 +139,47 @@ def _integer_rref(work: list[list[int]], cols: int) -> tuple[list[list[Fraction]
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    zero = Q(0)
-    return [[Q(x, work[i][p]) if x else zero for x in work[i]]
-            for i, p in enumerate(pivots)], pivots
+    return pivots
+
+
+def integer_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """An integer basis of {c : row · c = 0 for every row}, one vector per
+    free column (nonzero there and at the pivots only); ``rows`` is consumed."""
+    pivots = _integer_reduce(rows, cols)
+    scale = math.lcm(*(rows[r][p] for r, p in enumerate(pivots)))
+    basis = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = scale
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f] * (scale // rows[r][p])
+        basis.append(v)
+    return basis
+
+
+def integer_det(work: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination; ``work``
+    is consumed.
+
+    Each step replaces a_ij by (p·a_ij − a_ik·a_kj)/prev, an exact division
+    by the previous pivot, so every entry stays an integer minor.
+    """
+    n = len(work)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot is None:  # a zero column below the diagonal: singular
+            return 0
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        prow = work[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            f = work[i][k]
+            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+        prev = p
+    return sign * prev
 
 
 def _null_basis(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], cols: int) -> list[Vec]:
@@ -251,32 +303,21 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
-        """Bareiss elimination on the integer matrix (one common denominator cleared).
-
-        Each step replaces a_ij by (p·a_ij − a_ik·a_kj)/prev, an exact division
-        by the previous pivot, so every entry stays an integer minor.
-        """
+        """Bareiss elimination (:func:`integer_det`) on the integer matrix, with
+        one common denominator cleared."""
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.nrows
         den = math.lcm(*(x.denominator for row in self.rows for x in row))
         work = [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
-        sign, prev = 1, 1
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if work[i][k]), None)
-            if pivot is None:  # a zero column below the diagonal: singular
-                sign = 0
-                break
-            if pivot != k:
-                work[k], work[pivot] = work[pivot], work[k]
-                sign = -sign
-            prow = work[k]
-            p = prow[k]
-            for i in range(k + 1, n):
-                f = work[i][k]
-                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
-            prev = p
-        return Q(sign * prev, den**n)
+        return Q(integer_det(work), den**self.nrows)
+
+    @functools.cached_property
+    def integer_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The pairs (j, d·a_ij) with a_ij != 0 of each row, d the lcm of all
+        denominators (one scale for the whole matrix)."""
+        den = math.lcm(*(x.denominator for row in self.rows for x in row))
+        return tuple(tuple((j, x.numerator * (den // x.denominator))
+                           for j, x in enumerate(row) if x) for row in self.rows)
 
     def kernel_basis(self) -> tuple[Vec, ...]:
         """Canonical basis of the right null space (free variables set to 1)."""
@@ -344,7 +385,8 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """All v with r · v = 0 for every row r."""
-        return Subspace.span(self.ambient, _null_basis(self.rows, self.pivots, self.ambient))
+        return Subspace.from_integer_rows(
+            self.ambient, integer_kernel([list(r) for r in self.integer_rows], self.ambient))
 
     def matrix(self) -> Matrix:
         return Matrix(self.rows, self.ambient)
@@ -488,15 +530,29 @@ def derive_form(form: Matrix, phi: Matrix) -> Matrix:
     return phi.transpose().mul(form).add(form.mul(phi))
 
 
-def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:
-    """All v with form(v, x) = 0 for every x in w."""
+def _integer_images(form: Matrix, w: Subspace) -> list[list[int]]:
+    """d·F r for each integer row r of w, d·F the form on one common scale."""
     if not form.is_square() or form.cols != w.ambient:
         raise DimensionMismatch("form does not match ambient dimension")
-    if w.dim == 0:
-        return Subspace.full(w.ambient)
-    rows = tuple(form.matvec(x) for x in w.rows)  # v . (F x) = 0
-    ker = Matrix(rows, w.ambient).kernel_basis()
-    return Subspace.span(w.ambient, ker)
+    support = form.integer_support
+    return [[sum(x * r[j] for j, x in row) for row in support] for r in w.integer_rows]
+
+
+def integer_gram(form: Matrix, w: Subspace) -> list[list[int]]:
+    """The Gram matrix (form(r_a, r_b)) of the integer rows r of w, with the
+    form on one common scale: a positive multiple of D G D, G the Gram matrix
+    of w's reduced rows and D the diagonal of their scales, so it has the
+    rank of G and its kernel is D^-1 times that of G."""
+    images = _integer_images(form, w)
+    return [[sum(x * y for x, y in zip(r, image) if x) for image in images]
+            for r in w.integer_rows]
+
+
+def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:
+    """All v with form(v, x) = 0 for every x in w: the annihilator of the
+    integer rows d·F r, one elimination of k integer rows."""
+    return Subspace.from_integer_rows(
+        w.ambient, integer_kernel(_integer_images(form, w), w.ambient))
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:

@@ -47,9 +47,9 @@ from .symplectic import (
     IsotropicDecomposition,
     SymplecticError,
     SymplecticLieAlgebra,
+    _isotropic_decomposition,
     dual_rows,
     induced_connection,
-    isotropic_decomposition,
     isotropy_report,
     omega_orthogonal,
     validate_symplectic,
@@ -86,19 +86,20 @@ class ReductionStep:
         return Subspace.span(self.parent.dim, vecs)
 
     def project_subspace(self, sub: Subspace) -> Subspace:
-        perp = omega_orthogonal(self.parent, self.ideal)
-        inter = sub.intersect(perp)
+        inter = sub.intersect(self.decomposition.j_perp)
         return Subspace.span(self.reduced.dim,
                              [self.project_vector(r) for r in inter.rows])
 
 
-def classify_ideal(s: SymplecticLieAlgebra, j: Subspace) -> str:
+def classify_ideal(s: SymplecticLieAlgebra, j: Subspace, perp: Subspace | None = None) -> str:
+    """The kind of an isotropic ideal j; perp, when given, is j^perp."""
     g = s.algebra
-    perp = omega_orthogonal(s, j)
     if j.dim * 2 == g.dim:
         return "lagrangian"
     if center(g).contains(j):
         return "central"
+    if perp is None:
+        perp = omega_orthogonal(s, j)
     if brackets_within(g, perp, j, Subspace.zero(g.dim)):
         return "codim1normal" if j.dim == 1 else "normal"
     return "plain"
@@ -109,10 +110,9 @@ def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
     g = s.algebra
     if not is_ideal(g, j):
         raise ValidationError("reduction requires an ideal")
-    rep = isotropy_report(s, j)
-    if not rep.isotropic:
+    if not isotropy_report(s, j).isotropic:
         raise SymplecticError("reduction requires an isotropic ideal")
-    dec = isotropic_decomposition(s, j)
+    dec = _isotropic_decomposition(s, j)
     w_rows = dec.w.rows
     m = len(w_rows)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -127,7 +127,7 @@ def reduce(s: SymplecticLieAlgebra, j: Subspace) -> ReductionStep:
     labels = tuple(f"r{i+1}" for i in range(m))
     reduced_alg = LieAlgebra.from_brackets(labels, brackets)
     reduced = validate_symplectic(reduced_alg, gram(s.omega, w_rows, w_rows))
-    return ReductionStep(s, j, classify_ideal(s, j), reduced, dec)
+    return ReductionStep(s, j, classify_ideal(s, j, dec.j_perp), reduced, dec)
 
 
 # ---------------------------------------------------------------------------

@@ -61,23 +61,26 @@ from .liealg import (
 from .reduction import ReductionStep, fingerprint, reduce
 from .symplectic import (
     SymplecticLieAlgebra,
+    isotropic_part,
     isotropy_report,
-    omega_orthogonal,
 )
 
 
 def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
-    return is_ideal(s.algebra, sub) and isotropy_report(s, sub).isotropic
+    return isotropy_report(s, sub).isotropic and is_ideal(s.algebra, sub)
 
 
 def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
-    """Smallest ideal containing the given vectors."""
-    sub = Subspace.span(g.dim, list(vectors))
+    """Smallest ideal containing the given vectors: V + F_1 + F_2 + ... with
+    F_0 = V and F_(i+1) = [g, F_i], which stops growing at the first layer
+    inside the sum before it (the later layers are brackets of that sum)."""
+    full = Subspace.full(g.dim)
+    sub = layer = Subspace.span(g.dim, list(vectors))
     while True:
-        grown = sub.sum(bracket_span(g, Subspace.full(g.dim), sub))
-        if grown == sub:
+        layer = bracket_span(g, full, layer)
+        if sub.contains(layer):
             return sub
-        sub = grown
+        sub = sub.sum(layer)
 
 
 def isotropic_ideals_enumerate(s: SymplecticLieAlgebra) -> list[Subspace]:
@@ -111,8 +114,8 @@ def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     kr = killing_radical(g)
     pool.append(kr)
     pool.append(kr.intersect(derived_algebra(g)))
-    for term in list(pool):
-        pool.append(term.intersect(omega_orthogonal(s, term)))
+    pool = list(dict.fromkeys(pool))  # the three series repeat g, [g, g] and 0
+    pool = list(dict.fromkeys(pool + [isotropic_part(s, term) for term in pool]))
     for term in pool:
         consider(term)
         # lines inside central terms give the central reductions
@@ -292,7 +295,7 @@ def _push_operator(step: ReductionStep, op: Matrix) -> Matrix | None:
     """Induced operator on the reduction, when the ideal and orthogonal are stable."""
     if not is_invariant(step.ideal, [op]):
         return None
-    perp = omega_orthogonal(step.parent, step.ideal)
+    perp = step.decomposition.j_perp
     cols = []
     for w in step.w_rows:
         img = op.matvec(w)

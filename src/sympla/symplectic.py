@@ -21,6 +21,8 @@ from .exactla import (
     bilinear,
     coordinates,
     gram,
+    integer_gram,
+    integer_kernel,
     orthogonal_complement,
     vec,
     vunit,
@@ -105,19 +107,36 @@ class IsotropyReport:
 
 
 def isotropy_report(s: SymplecticLieAlgebra, w: Subspace) -> IsotropyReport:
-    perp = omega_orthogonal(s, w)
-    isotropic = perp.contains(w)
-    coisotropic = w.contains(perp)
-    nondeg = w.intersect(perp).is_zero()
+    """Every field from the rank r of the integer Gram matrix of w (k = dim w,
+    n = dim g): dim W^perp = n - k as omega is non-degenerate, and
+    dim(W ∩ W^perp) = k - r, so W is isotropic iff r = 0, non-degenerate iff
+    r = k and coisotropic iff k - r = n - k."""
+    if w.ambient != s.dim:
+        raise DimensionMismatch("subspace ambient dimension mismatch")
+    n, k = s.dim, w.dim
+    form = integer_gram(s.omega, w)
+    isotropic = not any(map(any, form))
+    rank = 0 if isotropic else k - len(integer_kernel(form, k))
     corank = None
     if isotropic:
-        diff = perp.dim - w.dim
-        if diff % 2:
-            raise SymplecticError(f"isotropic subspace of dimension {w.dim} has an "
-                                  f"orthogonal of dimension {perp.dim}; the defect "
-                                  f"{diff} must be even")
-        corank = diff // 2
-    return IsotropyReport(w, isotropic, coisotropic, isotropic and corank == 0, nondeg, corank)
+        if 2 * k > n:
+            raise SymplecticError(f"isotropic subspace of dimension {k} in dimension {n}: "
+                                  "omega is degenerate")
+        corank = (n - 2 * k) // 2
+    return IsotropyReport(w, isotropic, k - rank == n - k, isotropic and corank == 0,
+                          rank == k, corank)
+
+
+def isotropic_part(s: SymplecticLieAlgebra, w: Subspace) -> Subspace:
+    """W ∩ W^perp = {c^T R : G c = 0}, R the integer rows of w and G their
+    integer Gram matrix: one k x k kernel."""
+    if w.ambient != s.dim:
+        raise DimensionMismatch("subspace ambient dimension mismatch")
+    rows = w.integer_rows
+    kernel = integer_kernel(integer_gram(s.omega, w), w.dim)
+    return Subspace.from_integer_rows(
+        s.dim, [[sum(c * r[t] for c, r in zip(coeffs, rows) if c) for t in range(s.dim)]
+                for coeffs in kernel])
 
 
 def canonical_connection(s: SymplecticLieAlgebra) -> Connection:
@@ -185,11 +204,13 @@ def totally_geodesic_check(s: SymplecticLieAlgebra, l: Subspace) -> bool:
 
 @dataclass(frozen=True)
 class IsotropicDecomposition:
-    """g = N + W + j with N, j isotropic, W = N^perp ∩ j^perp, omega(n_i, a_j) = delta."""
+    """g = N + W + j with N, j isotropic, W = N^perp ∩ j^perp, omega(n_i, a_j) = delta;
+    j_perp = W + j is the orthogonal of j."""
 
     n_rows: tuple[Vec, ...]
     w: Subspace
     j_rows: tuple[Vec, ...]
+    j_perp: Subspace
 
     @property
     def n_subspace(self) -> Subspace:
@@ -206,9 +227,13 @@ class IsotropicDecomposition:
 
 
 def isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDecomposition:
-    rep = isotropy_report(s, j)
-    if not rep.isotropic:
+    if not isotropy_report(s, j).isotropic:
         raise SymplecticError("decomposition requires an isotropic subspace")
+    return _isotropic_decomposition(s, j)
+
+
+def _isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDecomposition:
+    """The decomposition of an isotropic j, which the caller has checked."""
     n = s.dim
     k = j.dim
     a_rows = j.rows
@@ -224,8 +249,7 @@ def isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDe
     n_rows = tuple(corrected)
     n_sub = Subspace.span(n, n_rows)
     j_perp = omega_orthogonal(s, j)
-    n_perp = omega_orthogonal(s, n_sub)
-    w = j_perp.intersect(n_perp)
+    w = omega_orthogonal(s, n_sub.sum(j))  # N^perp ∩ j^perp = (N + j)^perp
     if n_sub.dim != k or w.dim != n - 2 * k or n_sub.sum(w).sum(j).dim != n \
             or j_perp != w.sum(j):
         raise SymplecticError("isotropic decomposition does not split the algebra")
@@ -235,4 +259,4 @@ def isotropic_decomposition(s: SymplecticLieAlgebra, j: Subspace) -> IsotropicDe
                     or s.pair(n_rows[i], n_rows[jdx]) != 0:
                 raise SymplecticError("complement is not isotropic and dual to the ideal",
                                       (i, jdx))
-    return IsotropicDecomposition(n_rows, w, a_rows)
+    return IsotropicDecomposition(n_rows, w, a_rows, j_perp)

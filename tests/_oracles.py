@@ -8,7 +8,11 @@ against; the envelope certificate on Fraction polynomial dicts
 quadratic forms against, with the semidefinite test as principal minors and
 the previous per-direction certificate (``envelope_witnesses_oracle``), which
 the current one must dominate; and the invariant-subspace trap without its
-exit on nilpotent algebras.
+exit on nilpotent algebras; and the Fraction ω-orthogonal (one ``matvec``
+per row, then a Fraction kernel), the isotropy report built from it by
+containment and intersection, and the ideal closure that brackets the whole
+growing ideal against g every round, to check the integer Gram matrix and
+the layered closure against.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -513,3 +517,28 @@ def invariant_ideal_trap_oracle(s: SymplecticLieAlgebra, m: Subspace) -> Invaria
         if is_ideal(g, total):
             ideals.append(total)
     return InvariantTrap(m, tuple(ambient_comps), tuple(ideals))
+
+
+def omega_orthogonal_oracle(s: SymplecticLieAlgebra, w: Subspace) -> Subspace:
+    if w.dim == 0:
+        return Subspace.full(w.ambient)
+    rows = tuple(s.omega.matvec(x) for x in w.rows)
+    return Subspace.span(w.ambient, Matrix(rows, w.ambient).kernel_basis())
+
+
+def isotropy_report_oracle(s: SymplecticLieAlgebra, w: Subspace) -> tuple:
+    """(isotropic, coisotropic, lagrangian, nondegenerate, corank) of w."""
+    perp = omega_orthogonal_oracle(s, w)
+    isotropic = perp.contains(w)
+    corank = (perp.dim - w.dim) // 2 if isotropic else None
+    return (isotropic, w.contains(perp), isotropic and corank == 0,
+            w.intersect(perp).is_zero(), corank)
+
+
+def ideal_closure_oracle(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
+    sub = Subspace.span(g.dim, list(vectors))
+    while True:
+        grown = sub.sum(bracket_span_oracle(g, Subspace.full(g.dim), sub))
+        if grown == sub:
+            return sub
+        sub = grown

@@ -184,3 +184,23 @@ def test_envelope_takes_no_subsets_and_no_determinants():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "det" and id(node) not in allowed]
     assert dets == []
+
+
+def _called_names(module: str, function: str) -> set[str]:
+    """Names called in the body of a module-level function: ``f(...)`` gives
+    f and ``x.f(...)`` gives f."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_isotropy_is_read_from_the_integer_gram_matrix():
+    """``isotropy_report`` computes no orthogonal and no intersection, and the
+    enumeration takes isotropic parts without an ω-orthogonal: both go
+    through the integer Gram matrix."""
+    assert not _called_names("symplectic.py", "isotropy_report") & {
+        "omega_orthogonal", "orthogonal_complement", "intersect"}
+    assert "omega_orthogonal" not in _called_names("search.py", "_enumerate_cached")
