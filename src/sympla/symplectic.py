@@ -111,8 +111,6 @@ def isotropy_report(s: SymplecticLieAlgebra, w: Subspace) -> IsotropyReport:
     n = dim g): dim W^perp = n - k as omega is non-degenerate, and
     dim(W ∩ W^perp) = k - r, so W is isotropic iff r = 0, non-degenerate iff
     r = k and coisotropic iff k - r = n - k."""
-    if w.ambient != s.dim:
-        raise DimensionMismatch("subspace ambient dimension mismatch")
     n, k = s.dim, w.dim
     form = integer_gram(s.omega, w)
     isotropic = not any(map(any, form))
@@ -130,8 +128,6 @@ def isotropy_report(s: SymplecticLieAlgebra, w: Subspace) -> IsotropyReport:
 def isotropic_part(s: SymplecticLieAlgebra, w: Subspace) -> Subspace:
     """W ∩ W^perp = {c^T R : G c = 0}, R the integer rows of w and G their
     integer Gram matrix: one k x k kernel."""
-    if w.ambient != s.dim:
-        raise DimensionMismatch("subspace ambient dimension mismatch")
     rows = w.integer_rows
     kernel = integer_kernel(integer_gram(s.omega, w), w.dim)
     return Subspace.from_integer_rows(
