@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .certificates import (
     EnvelopeCertificate,
@@ -24,31 +24,24 @@ from .certificates import (
     irreducible_structure_certificate,
     verify_no_abelian_escape,
 )
-from .endoalg import (
-    SymplecticVectorSpace,
-    extend_to_maximal_isotropic,
-    invariant_lagrangian_nilpotent,
-    nilpotency_index,
-    quadratic_forms,
-)
 from .exactla import (
     Matrix,
     Q,
     Subspace,
     Vec,
+    _integer_images,
     combine,
     coordinates,
     extend_basis,
     gram,
-    is_invariant,
+    integer_kernel,
     rational_sqrt,
     vunit,
 )
 from .liealg import (
-    LieAlgebra,
     ValidationError,
     ascending_central_series,
-    bracket_span,
+    bracket_into_rows,
     brackets_within,
     center,
     derived_algebra,
@@ -70,17 +63,27 @@ def _is_isotropic_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> bool:
     return isotropy_report(s, sub).isotropic and is_ideal(s.algebra, sub)
 
 
-def ideal_closure(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
-    """Smallest ideal containing the given vectors: V + F_1 + F_2 + ... with
-    F_0 = V and F_(i+1) = [g, F_i], which stops growing at the first layer
-    inside the sum before it (the later layers are brackets of that sum)."""
-    full = Subspace.full(g.dim)
-    sub = layer = Subspace.span(g.dim, list(vectors))
+def socle_extension(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
+    """The chain 0 < U_1 < U_2 < ... of isotropic ideals grown one central
+    direction of g/U at a time.
+
+    room = {x : [g, x] ⊆ U} ∩ U^perp is one integer kernel: the rows that
+    ``bracket_into_rows`` gives for U stacked with d·Omega·u for u in U.  It
+    contains U, and U + Qx stays an isotropic ideal for every x in it; x is
+    the first reduced row of room outside U.  The chain stops when room = U.
+    Greedy: the last term need not be a largest isotropic ideal.
+    """
+    n = s.dim
+    u = Subspace.zero(n)
+    chain = []
     while True:
-        layer = bracket_span(g, full, layer)
-        if sub.contains(layer):
-            return sub
-        sub = sub.sum(layer)
+        rows = bracket_into_rows(s.algebra, u) + _integer_images(s.omega, u)
+        room = Subspace.from_integer_rows(n, integer_kernel(rows, n))
+        x = next((r for r in room.rows if not u.contains_vector(r)), None)
+        if x is None:
+            return tuple(chain)
+        u = Subspace.span(n, u.rows + (x,))
+        chain.append(u)
 
 
 def isotropic_ideals_enumerate(s: SymplecticLieAlgebra) -> list[Subspace]:
@@ -90,8 +93,7 @@ def isotropic_ideals_enumerate(s: SymplecticLieAlgebra) -> list[Subspace]:
     It holds every coordinate isotropic ideal (``_coordinate_ideals``) and
     the structural candidates that pass: terms of the central and derived
     series, the center, the Killing radical and its commutator part, their
-    omega-isotropic parts, lines in central terms and ideal closures of
-    basis vectors.
+    omega-isotropic parts, and every term of ``socle_extension``.
     """
     return list(_enumerate_cached(s))
 
@@ -108,26 +110,13 @@ def _enumerate_cached(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
             found.add(sub)
 
     chains = [descending_central_series(g), ascending_central_series(g), derived_series(g)]
-    pool = [t for chain in chains for t in chain.terms]
-    z = center(g)
-    pool.append(z)
     kr = killing_radical(g)
-    pool.append(kr)
-    pool.append(kr.intersect(derived_algebra(g)))
+    pool = [t for chain in chains for t in chain.terms]
+    pool += [center(g), kr, kr.intersect(derived_algebra(g))]
     pool = list(dict.fromkeys(pool))  # the three series repeat g, [g, g] and 0
     pool = list(dict.fromkeys(pool + [isotropic_part(s, term) for term in pool]))
-    for term in pool:
+    for term in pool + list(socle_extension(s)):
         consider(term)
-        # lines inside central terms give the central reductions
-        if z.contains(term):
-            for row in term.rows:
-                consider(Subspace.span(n, [row]))
-    for row in z.rows:
-        consider(Subspace.span(n, [row]))
-    # closures of single basis vectors
-    for i in range(n):
-        consider(ideal_closure(g, [g.basis_vector(i)]))
-
     return tuple(sorted(found, key=lambda c: (-c.dim, c.rows)))
 
 
@@ -246,104 +235,14 @@ def _verify_lagrangian_ideal(s: SymplecticLieAlgebra, sub: Subspace) -> Subspace
     return sub
 
 
-# Class at most three is a fixed scope, not an option.  Without it the
-# recursion decided none of the 84 class-four runs that search leaves open in
-# a probe of catalog entries, test algebras and oxidations in several bases
-# (g8 and Heisenberg oxidations), and each one spent about 20 ms reducing.
-def _central_series_lagrangian(
-    s: SymplecticLieAlgebra, ops: Sequence[Matrix] = ()
-) -> Subspace | None:
-    """Lagrangian ideal of s invariant under the derivations ops, or None;
-    s must be nilpotent of class at most three.
-
-    The last nonzero term j of the descending central series is central and
-    lies in [g, g], which omega pairs to zero with the center, so j is an
-    isotropic ideal and j^perp is an ideal.  Reduce by j, push the operators
-    to j^perp / j together with those induced by the complement directions,
-    recurse, and lift; the lift is kept only if it verifies.
-    """
-    g = s.algebra
-    k = nilpotency_class(g)
-    if k is None or k > 3:
-        return None
-    if k <= 1:
-        return _joint_invariant_lagrangian(s, ops)
-    step = reduce(s, descending_central_series(g).terms[k - 1])
-    # an op that does not keep j^perp is dropped; the final invariance check catches it
-    pushed = (_push_operator(step, op) for op in ops)
-    inner = [op for op in pushed if op is not None] + _induced_complement_operators(s, step)
-    bar = _central_series_lagrangian(step.reduced, inner)
-    if bar is None:
-        return None
-    cand = step.lift_subspace(bar)
-    if is_ideal(g, cand) and isotropy_report(s, cand).lagrangian and is_invariant(cand, ops):
-        return cand
-    return None
-
-
-def _induced_complement_operators(s: SymplecticLieAlgebra, step: ReductionStep) -> list[Matrix]:
-    """Operators induced on the reduction by the complement directions N."""
-    dec = step.decomposition
-    ops = []
-    for nrow in dec.n_rows:
-        cols = [dec.split(s.algebra.bracket(nrow, w))[1] for w in step.w_rows]
-        ops.append(Matrix(tuple(cols), step.reduced.dim).transpose())
-    return ops
-
-
-def _push_operator(step: ReductionStep, op: Matrix) -> Matrix | None:
-    """Induced operator on the reduction, when the ideal and orthogonal are stable."""
-    if not is_invariant(step.ideal, [op]):
-        return None
-    perp = step.decomposition.j_perp
-    cols = []
-    for w in step.w_rows:
-        img = op.matvec(w)
-        if not perp.contains_vector(img):
-            return None
-        cols.append(step.project_vector(img))
-    return Matrix(tuple(cols), step.reduced.dim).transpose()
-
-
-def _joint_invariant_lagrangian(
-    red: SymplecticLieAlgebra, ops: Sequence[Matrix]
-) -> Subspace | None:
-    """Common invariant maximal-isotropic subspace for nilpotent operator families.
-
-    Single square-zero operator families use the quadratic-condition
-    construction; otherwise the terminal term of the chain U -> sum op(U)
-    is extended greedily while preserving joint invariance.
-    """
-    n = red.dim
-    space = SymplecticVectorSpace(n, red.omega)
-    ops = [op for op in ops if not op.is_zero()]
-    if not ops:
-        return extend_to_maximal_isotropic(space, Subspace.zero(n))
-    if len(ops) == 1 and nilpotency_index(ops[0]) is not None:
-        if quadratic_forms(space, ops[0]).beta_vanishes:
-            return invariant_lagrangian_nilpotent(space, ops[0])
-    # chain of images
-    current = Subspace.full(n)
-    while True:
-        image = Subspace.zero(n)
-        for op in ops:
-            image = image.sum(Subspace.span(n, [op.matvec(r) for r in current.rows]))
-        if image == current:
-            return None  # operators are not jointly nilpotent
-        if image.is_zero():
-            break
-        current = image
-    # everything in `current` is annihilated; extend inside the joint kernel chain
-    seed = current
-    if not isotropy_report(red, seed).isotropic:
-        return None
-    result = extend_to_maximal_isotropic(space, seed, lambda c: is_invariant(c, ops))
-    if result.dim == n // 2 and is_invariant(result, ops):
-        return result
-    return None
-
-
 def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
+    """A Lagrangian ideal, or a certificate that there is none.
+
+    ``found`` (certificate ``search``) when the rank witness, the largest
+    isotropic ideal the enumeration lists (the last socle term among the
+    candidates), has half the dimension; ``certified_none`` when a rank
+    certificate puts the upper bound below half; ``unresolved`` otherwise.
+    """
     g = s.algebra
     n = g.dim
     if n == 0:
@@ -357,11 +256,17 @@ def lagrangian_ideal(s: SymplecticLieAlgebra) -> LagrangianIdealResult:
     if rank.lower == n // 2 and rank.lower_witness is not None:
         return LagrangianIdealResult(
             "found", _verify_lagrangian_ideal(s, rank.lower_witness), "search", rank)
-    cand = _central_series_lagrangian(s)
-    if cand is not None:
-        return LagrangianIdealResult(
-            "found", _verify_lagrangian_ideal(s, cand), "central-series", rank)
     return LagrangianIdealResult("unresolved", None, None, rank)
+
+
+def _induced_complement_operators(s: SymplecticLieAlgebra, step: ReductionStep) -> list[Matrix]:
+    """Operators induced on the reduction by the complement directions N."""
+    dec = step.decomposition
+    ops = []
+    for nrow in dec.n_rows:
+        cols = [dec.split(s.algebra.bracket(nrow, w))[1] for w in step.w_rows]
+        ops.append(Matrix(tuple(cols), step.reduced.dim).transpose())
+    return ops
 
 
 def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:

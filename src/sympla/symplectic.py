@@ -7,6 +7,7 @@ isotropic decompositions g = N + W + j.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,8 +45,18 @@ class SymplecticError(ValidationError):
 
 @dataclass(frozen=True)
 class SymplecticLieAlgebra:
+    """A Lie algebra with a two-form.  The hash is computed once per instance,
+    since the search caches key on the pair; equality compares the fields."""
+
     algebra: LieAlgebra
     omega: Matrix
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra, self.omega))
 
     @property
     def dim(self) -> int:

@@ -9,10 +9,8 @@ quadratic forms against, with the semidefinite test as principal minors and
 the previous per-direction certificate (``envelope_witnesses_oracle``), which
 the current one must dominate; and the invariant-subspace trap without its
 exit on nilpotent algebras; and the Fraction ω-orthogonal (one ``matvec``
-per row, then a Fraction kernel), the isotropy report built from it by
-containment and intersection, and the ideal closure that brackets the whole
-growing ideal against g every round, to check the integer Gram matrix and
-the layered closure against.
+per row, then a Fraction kernel) and the isotropy report built from it by
+containment and intersection, to check the integer Gram matrix against.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -533,12 +531,3 @@ def isotropy_report_oracle(s: SymplecticLieAlgebra, w: Subspace) -> tuple:
     corank = (perp.dim - w.dim) // 2 if isotropic else None
     return (isotropic, w.contains(perp), isotropic and corank == 0,
             w.intersect(perp).is_zero(), corank)
-
-
-def ideal_closure_oracle(g: LieAlgebra, vectors: Iterable[Vec]) -> Subspace:
-    sub = Subspace.span(g.dim, list(vectors))
-    while True:
-        grown = sub.sum(bracket_span_oracle(g, Subspace.full(g.dim), sub))
-        if grown == sub:
-            return sub
-        sub = grown

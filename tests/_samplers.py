@@ -17,10 +17,14 @@ from sympla.liealg import (
     LieAlgebra,
     Representation,
     adjoint_rep,
+    coboundary_matrix,
     combos,
     matrix_as_two_form,
+    nilpotency_class,
     trivial_rep,
+    two_form_as_matrix,
     two_form_derive,
+    validate_jacobi,
 )
 from sympla.oxidation import OxidationData
 from sympla.symplectic import SymplecticLieAlgebra
@@ -124,6 +128,33 @@ def unimodular_copy(s: SymplecticLieAlgebra, seed: int) -> tuple[SymplecticLieAl
     p, p_inv = random_unimodular(random.Random(seed), s.dim)
     return SymplecticLieAlgebra(change_of_basis(s.algebra, p, p_inv),
                                 p.transpose().mul(s.omega).mul(p)), p
+
+
+def random_nilpotent_symplectic(rng: random.Random, n: int) -> SymplecticLieAlgebra | None:
+    """A draw of a nilpotent symplectic algebra of dimension n, or None.
+
+    Each pair i < j brackets, with probability 1/3, to ±1 or ±2 times one e_k
+    with k > j, so every draw is nilpotent.  The draw is kept only if it
+    satisfies Jacobi and has class 2 or 3; the form is a random integer
+    combination of a basis of the closed two-forms Z², kept if non-degenerate.
+    """
+    brackets = {}
+    for i, j in combos(n, 2):
+        if j < n - 1 and rng.random() < 1 / 3:
+            brackets[(i, j)] = {rng.randint(j + 1, n - 1): rng.choice((-2, -1, 1, 2))}
+    g = LieAlgebra.from_brackets(n, brackets)
+    if nilpotency_class(g) not in (2, 3) or not validate_jacobi(g).ok:
+        return None
+    z2 = coboundary_matrix(trivial_rep(g), 2).kernel_basis()
+    for _ in range(4):
+        coords = [Q0] * len(z2[0])
+        for z in z2:
+            c = random_fraction(rng, 2)
+            coords = [x + c * y for x, y in zip(coords, z)]
+        omega = two_form_as_matrix(Cochain(2, n, 1, tuple(coords)))
+        if omega.det() != 0:
+            return SymplecticLieAlgebra(g, omega)
+    return None
 
 
 def random_representation(rng: random.Random, g: LieAlgebra) -> Representation:

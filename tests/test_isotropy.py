@@ -2,10 +2,10 @@
 
 ``isotropy_report`` reads every field off the rank of the Gram matrix of a
 subspace's integer rows, ``isotropic_part`` takes W ∩ W^perp from its kernel,
-``omega_orthogonal`` eliminates integer rows and ``ideal_closure`` brackets
-only the newest layer.  Each is compared with the definition it replaced, on
-every catalog entry in its catalog basis and three unimodular bases: the
-series terms, the center, the Killing radical and random subspaces.
+and ``omega_orthogonal`` eliminates integer rows.  Each is compared with the
+definition it replaced, on every catalog entry in its catalog basis and three
+unimodular bases: the series terms, the center, the Killing radical and
+random subspaces.
 """
 
 import functools
@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import ideal_closure_oracle, isotropy_report_oracle, omega_orthogonal_oracle
+from _oracles import isotropy_report_oracle, omega_orthogonal_oracle
 from _samplers import unimodular_copy
 from sympla.catalog import build, names as catalog_names
 from sympla.exactla import Matrix, Q, Subspace
@@ -25,7 +25,6 @@ from sympla.liealg import (
     descending_central_series,
     killing_radical,
 )
-from sympla.search import ideal_closure
 from sympla.symplectic import (
     SymplecticError,
     SymplecticLieAlgebra,
@@ -84,18 +83,6 @@ def test_random_subspaces_match_the_fraction_oracles(name, seed, draw_seed, k):
     vectors = [[Q(rng.choice((-2, -1, 0, 0, 0, 1, 3))) for _ in range(n)] for _ in range(k)]
     for w in (Subspace.span(n, vectors), Subspace.zero(n), Subspace.full(n)):
         assert_matches_oracle(s, w)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ENTRIES), st.sampled_from(SEEDS), st.integers(0, 2**32))
-def test_ideal_closure_matches_the_full_algebra_fixpoint(name, seed, draw_seed):
-    s = algebra(name, seed)
-    g, n = s.algebra, s.dim
-    rng = random.Random(draw_seed)
-    vectors = [tuple(Q(rng.randint(-1, 1)) for _ in range(n)) for _ in range(rng.randint(0, 2))]
-    assert ideal_closure(g, vectors) == ideal_closure_oracle(g, vectors)
-    for i in range(n):
-        assert ideal_closure(g, [g.basis_vector(i)]) == ideal_closure_oracle(g, [g.basis_vector(i)])
 
 
 def test_isotropic_subspace_beyond_half_dimension_raises():

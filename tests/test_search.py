@@ -11,6 +11,7 @@ from _samplers import (
     heisenberg_oxidation_data,
     heisenberg_pair_base,
     random_invertible,
+    random_nilpotent_symplectic,
     random_nondegenerate_skew,
     unimodular_copy,
 )
@@ -35,13 +36,13 @@ from sympla.liealg import (
 )
 from sympla.oxidation import symplectic_oxidation
 from sympla.search import (
-    _central_series_lagrangian,
     irreducible_base,
     is_completely_reducible,
     isotropic_ideals_enumerate,
     lagrangian_ideal,
     lagrangian_relations_check,
     lagrangian_subalgebra,
+    socle_extension,
     symplectic_length_upper,
     symplectic_rank_bounds,
 )
@@ -391,13 +392,20 @@ def _assert_lagrangian_ideal(s, sub):
     assert isotropy_report(s, sub).lagrangian
 
 
+def _assert_socle_lagrangian(s, dim):
+    """Every socle term is an isotropic ideal and the last one is Lagrangian."""
+    chain = socle_extension(s)
+    for u in chain:
+        assert is_ideal(s.algebra, u) and isotropy_report(s, u).isotropic
+    assert chain[-1].dim == dim
+    _assert_lagrangian_ideal(s, chain[-1])
+
+
 def test_three_step_construction_dim_six():
     """Class-three algebra with one-dimensional second descending term."""
     s = _with_found_form(6, CLASS_THREE_DIM_SIX)
     assert nilpotency_class(s.algebra) == 3
-    direct = _central_series_lagrangian(s)
-    assert direct is not None and direct.dim == 3
-    _assert_lagrangian_ideal(s, direct)
+    _assert_socle_lagrangian(s, 3)
     assert lagrangian_ideal(s).status == "found"
 
 
@@ -406,19 +414,35 @@ def test_three_step_construction_dim_eight():
     s = _with_found_form(
         8, {(0, 1): {2: 1}, (0, 2): {3: 1}, (4, 5): {6: 1}, (4, 6): {7: 1}})
     assert nilpotency_class(s.algebra) == 3
-    direct = _central_series_lagrangian(s)
-    assert direct is not None and direct.dim == 4
-    _assert_lagrangian_ideal(s, direct)
+    _assert_socle_lagrangian(s, 4)
     assert lagrangian_ideal(s).status == "found"
 
 
+def test_socle_extension_reaches_a_lagrangian_ideal_of_random_nilpotent_algebras():
+    """Random nilpotent algebras of dimension 6 and 8 and class 2-3 with
+    random closed forms: in the drawn basis and two unimodular ones, the last
+    socle term is a Lagrangian ideal."""
+    rng = random.Random(30)
+    classes = set()
+    for n, count in ((6, 30), (8, 20)):
+        drawn = 0
+        while drawn < count:
+            s = random_nilpotent_symplectic(rng, n)
+            if s is None:
+                continue
+            drawn += 1
+            classes.add(nilpotency_class(s.algebra))
+            for copy in [s] + [unimodular_copy(s, seed)[0] for seed in (1, 2)]:
+                _assert_socle_lagrangian(copy, n // 2)
+    assert classes == {2, 3}
+
+
 def test_class_four_dimension_six_construction():
-    """Class four is outside the central-series reduction; search finds a
-    Lagrangian ideal of both algebras in their own basis and seven others."""
+    """Class four: search finds a Lagrangian ideal of both algebras in their
+    own basis and seven others."""
     for brackets in CLASS_FOUR_DIM_SIX:
         s = _with_found_form(6, brackets)
         assert nilpotency_class(s.algebra) == 4
-        assert _central_series_lagrangian(s) is None
         for copy in [s] + [unimodular_copy(s, seed)[0] for seed in range(1, 8)]:
             res = lagrangian_ideal(copy)
             assert res.status == "found"
@@ -426,8 +450,8 @@ def test_class_four_dimension_six_construction():
 
 
 def test_lagrangian_ideal_found_off_the_built_basis():
-    """In some of these bases search finds no coordinate Lagrangian ideal;
-    the central-series reduction needs no basis and decides all of them."""
+    """In some of these bases there is no coordinate Lagrangian ideal; the
+    socle extension needs no basis and decides all of them."""
     hh, omega_hh = heisenberg_pair_base()
     rng = random.Random(808)  # the oxidations of acceptance criterion 8
     oxidations = [symplectic_oxidation(abelian_oxidation_data(rng, rng.choice((1, 2, 3))))
@@ -444,12 +468,13 @@ def test_lagrangian_ideal_found_off_the_built_basis():
 
 def test_cotangent_lagrangian_ideal_in_dense_bases():
     """T*h has the Lagrangian ideal h*; off the catalog basis of
-    tn_cotangent?n=4 only the central-series reduction finds one."""
+    tn_cotangent?n=4 the socle extension finds one, and it is the rank witness."""
     s = build("tn_cotangent", n=4).symplectic
     for seed in range(1, 4):
         copy, p = unimodular_copy(s, seed)
         res = lagrangian_ideal(copy)
-        assert res.status == "found" and res.certificate == "central-series"
+        assert res.status == "found" and res.certificate == "search"
+        assert (res.rank.lower, res.rank.upper) == (6, 6)
         _assert_lagrangian_ideal(s, Subspace.span(s.dim, [p.matvec(r) for r in res.subspace.rows]))
 
 
