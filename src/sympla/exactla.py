@@ -11,7 +11,9 @@ row-echelon form so that equal subspaces compare equal as tuples.
 Bilinear forms act on integers too: ``integer_gram`` is the Gram matrix of a
 subspace's integer rows under the form scaled once to integers, and
 ``orthogonal_complement`` is the integer kernel (``integer_kernel``) of the
-rows d·F r, so neither multiplies a Fraction.
+rows d·F r, so neither multiplies a Fraction.  ``isotropic_room`` stacks
+those rows with the ``invariance_rows`` of operators given by their integer
+columns.
 """
 
 from __future__ import annotations
@@ -553,6 +555,35 @@ def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:
     integer rows d·F r, one elimination of k integer rows."""
     return Subspace.from_integer_rows(
         w.ambient, integer_kernel(_integer_images(form, w), w.ambient))
+
+
+def invariance_rows(op_columns: Iterable[Sequence[Sequence[tuple[int, int]]]],
+                    sub: Subspace) -> list[list[int]]:
+    """Integer rows whose common kernel is {v : A v ∈ sub for every A}.
+
+    Each A is given by its integer columns: column j holds the pairs (k, a_kj)
+    with a_kj != 0, on any positive scale, as ``LieAlgebra.integer_constants``
+    does for the ad(e_i).  The rows are f^T A, scattered from the nonzero a_kj,
+    for the integer rows f of sub's annihilator.
+    """
+    functionals = sub.annihilator().integer_rows
+    rows = []
+    for columns in op_columns:
+        entries = [(j, k, a) for j, column in enumerate(columns) for k, a in column]
+        for f in functionals:
+            row = [0] * sub.ambient
+            for j, k, a in entries:
+                row[j] += f[k] * a
+            rows.append(row)
+    return rows
+
+
+def isotropic_room(form: Matrix, op_columns: Iterable[Sequence[Sequence[tuple[int, int]]]],
+                   u: Subspace) -> Subspace:
+    """{x ∈ u^perp : A x ∈ u for every A}, one integer kernel of the
+    ``invariance_rows`` of u stacked with d·F r for the rows r of u."""
+    rows = invariance_rows(op_columns, u) + _integer_images(form, u)
+    return Subspace.from_integer_rows(u.ambient, integer_kernel(rows, u.ambient))
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:

@@ -21,6 +21,7 @@ from .exactla import (
     Subspace,
     Vec,
     derive_form,
+    invariance_rows,
     is_zero_vec,
     q,
     vadd,
@@ -297,32 +298,13 @@ def derived_series(g: LieAlgebra) -> SeriesChain:
     return SeriesChain("derived", tuple(terms))
 
 
-def bracket_into_rows(g: LieAlgebra, sub: Subspace) -> list[list[int]]:
-    """Integer rows whose common kernel is {v : [g, v] ⊆ sub}.
-
-    v lies there iff f([e_i, v]) = 0 for every functional f vanishing on sub;
-    the rows are f^T ad(e_i), whose entry j is sum_k f_k c_ij^k, taken over the
-    integer rows f of sub's annihilator and d·c, scattered from the nonzero c.
-    """
-    nz = g.integer_constants[1]
-    functionals = sub.annihilator().integer_rows
-    rows = []
-    for i in range(g.dim):
-        constants = [(j, k, c) for j, entries in enumerate(nz[i]) for k, c in entries]
-        for f in functionals:
-            row = [0] * g.dim
-            for j, k, c in constants:
-                row[j] += f[k] * c
-            rows.append(row)
-    return rows
-
-
 @_per_algebra
 def ascending_central_series(g: LieAlgebra) -> SeriesChain:
     terms = [Subspace.zero(g.dim)]
     while True:
         cur = terms[-1]
-        nxt = Subspace.from_integer_rows(g.dim, bracket_into_rows(g, cur)).annihilator()
+        nxt = Subspace.from_integer_rows(
+            g.dim, invariance_rows(g.integer_constants[1], cur)).annihilator()
         if nxt == cur:
             break
         terms.append(nxt)

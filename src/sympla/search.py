@@ -29,19 +29,17 @@ from .exactla import (
     Q,
     Subspace,
     Vec,
-    _integer_images,
     combine,
     coordinates,
     extend_basis,
     gram,
-    integer_kernel,
+    isotropic_room,
     rational_sqrt,
     vunit,
 )
 from .liealg import (
     ValidationError,
     ascending_central_series,
-    bracket_into_rows,
     brackets_within,
     center,
     derived_algebra,
@@ -67,18 +65,20 @@ def socle_extension(s: SymplecticLieAlgebra) -> tuple[Subspace, ...]:
     """The chain 0 < U_1 < U_2 < ... of isotropic ideals grown one central
     direction of g/U at a time.
 
-    room = {x : [g, x] ⊆ U} ∩ U^perp is one integer kernel: the rows that
-    ``bracket_into_rows`` gives for U stacked with d·Omega·u for u in U.  It
-    contains U, and U + Qx stays an isotropic ideal for every x in it; x is
-    the first reduced row of room outside U.  The chain stops when room = U.
-    Greedy: the last term need not be a largest isotropic ideal.
+    room = {x : [g, x] ⊆ U} ∩ U^perp is ``isotropic_room`` for the ad(e_i),
+    whose integer columns are the structure constants.  It contains U, and
+    U + Qx stays an isotropic ideal for every x in it; x is the first reduced
+    row of room outside U.  The chain stops when room = U.  Greedy: the last
+    term need not be a largest isotropic ideal.  The deepest-term rule of
+    ``endoalg.invariant_isotropic_extension`` picked other terms of the same
+    dimensions in 20 of 64 (entry, basis) cases, and took 29 times as long
+    on ``tn_cotangent?n=5``.
     """
     n = s.dim
     u = Subspace.zero(n)
     chain = []
     while True:
-        rows = bracket_into_rows(s.algebra, u) + _integer_images(s.omega, u)
-        room = Subspace.from_integer_rows(n, integer_kernel(rows, n))
+        room = isotropic_room(s.omega, s.algebra.integer_constants[1], u)
         x = next((r for r in room.rows if not u.contains_vector(r)), None)
         if x is None:
             return tuple(chain)

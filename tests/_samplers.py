@@ -273,10 +273,11 @@ def beta_kernel_pair(rng: random.Random, n: int) -> tuple[Matrix, Matrix] | None
         ei, ej = vunit(n, i), vunit(n, j)
         vecs = [(phi2.matvec(ei), ej, Q(1)), (phi.matvec(ei), phi.matvec(ej), Q(2)),
                 (ei, phi2.matvec(ej), Q(1))]
-        for u, v, c in vecs:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    row[idx[(a, b)]] += c * (u[a] * v[b] - u[b] * v[a])
+        for u, v, c in vecs:  # u^v pairs as u[a] v[b] - u[b] v[a] on (a, b), a < b
+            for a, x in enumerate(u):
+                for b, y in enumerate(v):
+                    if x and y and a != b:
+                        row[idx[(min(a, b), max(a, b))]] += c * x * y if a < b else -c * x * y
         conditions.append(tuple(row))
     kernel = Matrix(tuple(conditions), len(pairs)).kernel_basis()
     if not kernel:

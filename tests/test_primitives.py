@@ -4,7 +4,7 @@ checked against solve_linear as an independent oracle."""
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sympla.endoalg import SymplecticVectorSpace, extend_to_maximal_isotropic
+from sympla.endoalg import SymplecticVectorSpace, invariant_isotropic_extension
 from sympla.exactla import (
     DimensionMismatch,
     Matrix,
@@ -141,11 +141,10 @@ def test_dual_rows_agrees_with_one_solve_per_unit_vector(n, data):
         assert dual_rows(s, a_rows) == tuple(expected)
 
 
-def test_greedy_extension_respects_accept(cat):
+def test_extension_without_operators_grows_the_seed_to_a_lagrangian(cat):
     s = cat("g8").symplectic
     space = SymplecticVectorSpace(s.dim, s.omega)
     seed = Subspace.span(s.dim, [vunit(s.dim, 7)])
-    full = extend_to_maximal_isotropic(space, seed)
+    full = invariant_isotropic_extension(space, [], seed)
     assert full.dim == s.dim // 2 and full.contains(seed)
     assert isotropy_report(s, full).lagrangian
-    assert extend_to_maximal_isotropic(space, seed, lambda cand: False) == seed

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from _samplers import abelian_oxidation_data, heisenberg_oxidation_data
+from _samplers import abelian_oxidation_data, heisenberg_oxidation_data, heisenberg_pair_base
+from sympla.endoalg import SymplecticVectorSpace, invariant_lagrangian_nilpotent
 from sympla.exactla import Matrix, Q, Subspace, vunit
 from sympla.liealg import (
     LieAlgebra,
@@ -11,7 +12,9 @@ from sympla.liealg import (
     brackets_within,
     center,
     is_ideal,
+    matrix_as_two_form,
     nilpotency_class,
+    two_form_derive,
 )
 from sympla.oxidation import symplectic_oxidation
 from sympla.reduction import (
@@ -24,8 +27,8 @@ from sympla.reduction import (
     run_reduction_sequence,
     transfer_isotropic,
 )
-from sympla.symplectic import isotropy_report, omega_orthogonal
-from sympla.search import isotropic_ideals_enumerate, lagrangian_subalgebra
+from sympla.search import isotropic_ideals_enumerate, lagrangian_subalgebra, symplectic_rank_bounds
+from sympla.symplectic import canonical_connection, isotropy_report, omega_orthogonal
 
 
 def test_reduce_by_zero_is_identity(cat):
@@ -49,8 +52,6 @@ def test_reduce_g8_recovers_heisenberg_pair(cat):
     red = step.reduced
     assert red.dim == 6
     assert step.kind == "central"
-    from _samplers import heisenberg_pair_base
-
     base, omega = heisenberg_pair_base()
     assert red.algebra.table == base.table
     assert red.omega.rows == omega.rows
@@ -78,8 +79,6 @@ def test_quotient_flat_structure_central_is_abelian(cat):
 def test_quotient_flat_whole_algebra_reproduces_connection(cat):
     """Taking the whole algebra as the normal ideal recovers the canonical
     flat connection (the orthogonal is zero, so h = g)."""
-    from sympla.symplectic import canonical_connection
-
     e = cat("fdim_metab")
     s = e.symplectic
     fq = quotient_flat_structure(s, Subspace.full(4))
@@ -128,8 +127,6 @@ def test_normal_reduction_data_g8(cat):
     assert all(m.is_zero() for m in data.lam)
     # alpha agrees with the derived two-form of the reduced structure
     red = data.step.reduced
-    from sympla.liealg import matrix_as_two_form, two_form_derive
-
     derived = two_form_derive(red.algebra, matrix_as_two_form(red.omega), phi)
     for combo in [(i, j) for i in range(6) for j in range(i + 1, 6)]:
         aval = data.alpha.value_on_combo(combo)
@@ -176,8 +173,6 @@ def test_transfer_lift_invariant_lagrangian(cat):
     s = symplectic_oxidation(data)
     h_line = Subspace.span(6, [vunit(6, 5)])
     step = reduce(s, h_line)
-    from sympla.endoalg import SymplecticVectorSpace, invariant_lagrangian_nilpotent
-
     space = SymplecticVectorSpace(4, step.reduced.omega)
     nd = normal_reduction_data(s, h_line, step)
     bar = invariant_lagrangian_nilpotent(space, nd.phi[0])
@@ -249,8 +244,6 @@ def test_induced_sequence_property(cat):
 
 
 def test_corank_monotonicity_on_catalog_steps(cat):
-    from sympla.search import symplectic_rank_bounds
-
     for name in ("fdim_metab", "cs6", "g8", "g10"):
         e = cat(name)
         s = e.symplectic

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +38,15 @@ def test_cli_analyze_file_agrees_with_catalog_source():
     code_c, out_c = run(["rank", "catalog:g8"])
     assert code_f == code_c == 0
     assert out_f == out_c
+
+
+def test_the_cli_does_not_import_endoalg():
+    """No module the CLI imports reaches ``endoalg``: one unused import of it
+    raised the peak memory of a cold ``cohomology`` run by about 10%."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, sympla.cli; print('sympla.endoalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    assert out.stdout.strip() == b"False"
 
 
 def test_no_function_local_imports():
