@@ -398,8 +398,7 @@ def find_symplectic_form(g: LieAlgebra) -> Matrix:
     denominator d, as det(d·F) != 0 iff det F != 0; only the first
     non-degenerate one becomes a Fraction matrix.
     """
-    dmat = coboundary_matrix(trivial_rep(g), 2)
-    z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
+    z2 = coboundary_matrix(trivial_rep(g), 2).null_space()
     n = g.dim
     den = math.lcm(*(x.denominator for row in z2.rows for x in row))
     supports = [[(t, x.numerator * (den // x.denominator)) for t, x in enumerate(row) if x]
@@ -408,7 +407,7 @@ def find_symplectic_form(g: LieAlgebra) -> Matrix:
 
     def nondegenerate(terms: Iterable[tuple[int, int]]) -> Matrix | None:
         """The form sum c·z2.rows[b] over the (c, b) of terms, if non-degenerate."""
-        v = [0] * dmat.cols
+        v = [0] * z2.ambient
         for c, b in terms:
             for t, x in supports[b]:
                 v[t] += c * x

@@ -130,18 +130,15 @@ def build_envelope_certificate(
         return None
     need = m.annihilator()
     span = Subspace.zero(g.dim)
-    radical = Subspace.full(g.dim).integer_rows  # spans the common radical of the kept forms
     pairs: list[tuple[Vec, int]] = []
     forms = ((probe, k, form) for probe in map(g.basis_vector, range(g.dim))
              for k, form in enumerate(double_bracket_forms(g, probe)))
     while not span.contains(need):
         for probe, k, form in forms:
-            # a form grows the span exactly when it does not vanish on the radical
-            if any(sum(x * y for x, y in zip(row, v)) for v in radical for row in form) \
-                    and semidefinite(form):
+            # a form grows the span exactly when one of its rows lies outside it
+            if not all(map(span.contains_vector, form)) and semidefinite(form):
                 pairs.append((probe, k))
                 span = Subspace.from_integer_rows(g.dim, span.integer_rows + tuple(form))
-                radical = span.annihilator().integer_rows
                 break
         else:
             return None
@@ -220,10 +217,10 @@ def _split_by_operator(sub: Subspace, op_on_sub: Matrix) -> list[Subspace] | Non
         power = Matrix.identity(d)
         for _ in range(mult):
             power = shifted.mul(power)
-        pieces.append(Subspace.span(d, power.kernel_basis()))
+        pieces.append(power.null_space())
     if len(rest) > 1:
         rest_mat = poly_eval_matrix(tuple(rest), op_on_sub)
-        pieces.append(Subspace.span(d, rest_mat.kernel_basis()))
+        pieces.append(rest_mat.null_space())
     if sum(p.dim for p in pieces) != d or len(pieces) < 2:
         return None
     return pieces

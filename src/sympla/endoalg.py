@@ -53,7 +53,7 @@ class SymplecticVectorSpace:
         return bilinear(self.omega, vec(u), vec(v))
 
     def radical(self) -> Subspace:
-        return Subspace.span(self.dim, self.omega.kernel_basis())
+        return self.omega.null_space()
 
     def max_isotropic_dim(self) -> int:
         r = self.radical().dim

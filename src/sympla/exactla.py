@@ -8,12 +8,14 @@ the final reduced rows become Fractions again, and since the reduced form is
 unique they are the canonical Fraction RREF.  Subspaces are kept in reduced
 row-echelon form so that equal subspaces compare equal as tuples.
 
-Bilinear forms act on integers too: ``integer_gram`` is the Gram matrix of a
-subspace's integer rows under the form scaled once to integers, and
-``orthogonal_complement`` is the integer kernel (``integer_kernel``) of the
-rows d·F r, so neither multiplies a Fraction.  ``isotropic_room`` stacks
-those rows with the ``invariance_rows`` of operators given by their integer
-columns.
+Every kernel is one null space: ``null_space(rows, cols)`` spans the
+``integer_kernel`` of integer rows, and ``Matrix.null_space`` scales Fraction
+rows to integers for it.  The annihilator, the orthogonal complement (the
+rows d·F r, F the form on one integer scale) and ``isotropic_room`` (those
+rows stacked with ``invariance_rows``) go through it; ``Subspace.intersect``
+is one integer kernel of [A^T | -B^T] over the two subspaces' integer rows.
+``integer_gram`` is the Gram matrix of a subspace's integer rows, so no
+bilinear form multiplies a Fraction.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _integer_reduce(work: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def integer_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
+def integer_kernel(rows: list[Sequence[int]], cols: int) -> list[list[int]]:
     """An integer basis of {c : row · c = 0 for every row}, one vector per
     free column (nonzero there and at the pivots only); ``rows`` is consumed."""
     pivots = _integer_reduce(rows, cols)
@@ -182,21 +184,6 @@ def integer_det(work: list[list[int]]) -> int:
             work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
         prev = p
     return sign * prev
-
-
-def _null_basis(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], cols: int) -> list[Vec]:
-    """Canonical basis of the vectors annihilated by reduced rows (free variables set to 1)."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [Q(0)] * cols
-        v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -321,10 +308,14 @@ class Matrix:
         return tuple(tuple((j, x.numerator * (den // x.denominator))
                            for j, x in enumerate(row) if x) for row in self.rows)
 
+    def null_space(self) -> "Subspace":
+        """The right null space: :func:`null_space` of the rows scaled to integers."""
+        return null_space([_integer_row(row) for row in self.rows], self.cols)
+
     def kernel_basis(self) -> tuple[Vec, ...]:
-        """Canonical basis of the right null space (free variables set to 1)."""
-        red, pivots = self.rref()
-        return tuple(_null_basis(red.rows, pivots, self.cols))
+        """The reduced rows of :meth:`null_space`.  Nothing in the package calls
+        it; ``perfbench/tracer.py`` patches this method by name."""
+        return self.null_space().rows
 
 
 @dataclass(frozen=True)
@@ -387,11 +378,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """All v with r · v = 0 for every row r."""
-        return Subspace.from_integer_rows(
-            self.ambient, integer_kernel([list(r) for r in self.integer_rows], self.ambient))
-
-    def matrix(self) -> Matrix:
-        return Matrix(self.rows, self.ambient)
+        return null_space(list(self.integer_rows), self.ambient)
 
     def contains_vector(self, v: Iterable) -> bool:
         w = list(vec(v))
@@ -412,39 +399,23 @@ class Subspace:
         return Subspace.span(self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """x = u^T A = v^T B: one integer kernel of [A^T | -B^T] over the integer
+        rows A of self and B of other, and x = u^T A formed on integers."""
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        # x = u^T A = v^T B; solve for (u, v) in the kernel of [A^T | -B^T].
-        a, b = self.matrix(), other.matrix()
-        cols = a.nrows + b.nrows
-        rows = []
-        for i in range(self.ambient):
-            rows.append(tuple(a.rows[r][i] for r in range(a.nrows))
-                        + tuple(-b.rows[r][i] for r in range(b.nrows)))
-        ker = Matrix(tuple(rows), cols).kernel_basis()
-        vecs = []
-        for k in ker:
-            u = k[: a.nrows]
-            vecs.append(tuple(vdot(u, a.col(j)) for j in range(self.ambient)))
-        return Subspace.span(self.ambient, vecs)
+        n, a, b = self.ambient, self.integer_rows, other.integer_rows
+        kernel = integer_kernel([[r[t] for r in a] + [-r[t] for r in b] for t in range(n)],
+                                len(a) + len(b))
+        return Subspace.from_integer_rows(
+            n, [[sum(c * r[t] for c, r in zip(u, a) if c) for t in range(n)] for u in kernel])
 
 
-@dataclass(frozen=True)
-class SubspaceRelation:
-    intersection: Subspace
-    sum: Subspace
-    a_contains_b: bool
-    b_contains_a: bool
-
-
-def subspace_relate(a: Subspace, b: Subspace) -> SubspaceRelation:
-    if a.ambient != b.ambient:
-        raise DimensionMismatch("ambient dimension mismatch")
-    inter = a.intersect(b)
-    total = a.sum(b)
-    return SubspaceRelation(inter, total, a.contains(b), b.contains(a))
+def null_space(rows: list[Sequence[int]], cols: int) -> Subspace:
+    """{x : r · x = 0 for every integer row r}, one :func:`integer_kernel`;
+    ``rows`` is consumed."""
+    return Subspace.from_integer_rows(cols, integer_kernel(rows, cols))
 
 
 def is_invariant(sub: Subspace, ops: Iterable[Matrix]) -> bool:
@@ -469,12 +440,12 @@ def solve_linear(a: Matrix, rhs: Iterable) -> SolveResult:
         raise DimensionMismatch("right-hand side length mismatch")
     work = [list(r) + [b[i]] for i, r in enumerate(a.rows)]
     rows, pivots = _rref(work, a.cols + 1)
+    kernel = a.null_space()
     if a.cols in pivots:
-        return SolveResult(None, Subspace.span(a.cols, a.kernel_basis()))
+        return SolveResult(None, kernel)
     x = [Q(0)] * a.cols
     for r, p in enumerate(pivots):
         x[p] = rows[r][a.cols]
-    kernel = Subspace.span(a.cols, a.kernel_basis())
     return SolveResult(tuple(x), kernel)
 
 
@@ -553,8 +524,7 @@ def integer_gram(form: Matrix, w: Subspace) -> list[list[int]]:
 def orthogonal_complement(form: Matrix, w: Subspace) -> Subspace:
     """All v with form(v, x) = 0 for every x in w: the annihilator of the
     integer rows d·F r, one elimination of k integer rows."""
-    return Subspace.from_integer_rows(
-        w.ambient, integer_kernel(_integer_images(form, w), w.ambient))
+    return null_space(_integer_images(form, w), w.ambient)
 
 
 def invariance_rows(op_columns: Iterable[Sequence[Sequence[tuple[int, int]]]],
@@ -582,8 +552,7 @@ def isotropic_room(form: Matrix, op_columns: Iterable[Sequence[Sequence[tuple[in
                    u: Subspace) -> Subspace:
     """{x ∈ u^perp : A x ∈ u for every A}, one integer kernel of the
     ``invariance_rows`` of u stacked with d·F r for the rows r of u."""
-    rows = invariance_rows(op_columns, u) + _integer_images(form, u)
-    return Subspace.from_integer_rows(u.ambient, integer_kernel(rows, u.ambient))
+    return null_space(invariance_rows(op_columns, u) + _integer_images(form, u), u.ambient)
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:

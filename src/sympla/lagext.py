@@ -26,6 +26,7 @@ from .exactla import (
     combine,
     coordinates,
     gram,
+    null_space,
     solve_linear,
     vec,
     vunit,
@@ -277,8 +278,7 @@ def symmetric_one_cochains(n: int) -> Subspace:
 
 def trivial_two_cocycles_as_one_cochains(h: LieAlgebra) -> Subspace:
     """Z^2(h) embedded in C^1(h, h*) as alternating bilinear forms."""
-    dmat = coboundary_matrix(trivial_rep(h), 2)
-    z2 = Subspace.span(dmat.cols, dmat.kernel_basis())
+    z2 = coboundary_matrix(trivial_rep(h), 2).null_space()
     n = h.dim
     vecs = [tuple(itertools.chain.from_iterable(two_form_as_matrix(Cochain(2, n, 1, row)).rows))
             for row in z2.rows]
@@ -291,13 +291,11 @@ def cyclic_condition_subspace(h: LieAlgebra) -> Subspace:
     size = len(combos(n, 2)) * n
     rows = []
     for a, b, c in _cyclic_positions(n):
-        row = [Q(0)] * size
-        row[a] = row[b] = Q(1)
-        row[c] = Q(-1)
-        rows.append(tuple(row))
-    if not rows:
-        return Subspace.full(size)
-    return Subspace.span(size, Matrix(tuple(rows), size).kernel_basis())
+        row = [0] * size
+        row[a] = row[b] = 1
+        row[c] = -1
+        rows.append(row)
+    return null_space(rows, size)
 
 
 def lagrangian_cohomology(flat: FlatLieAlgebra) -> LagCohomology:
@@ -307,7 +305,7 @@ def lagrangian_cohomology(flat: FlatLieAlgebra) -> LagCohomology:
     d1 = coboundary_matrix(rho, 1)  # C^1(h,h*) -> C^2(h,h*)
     d2 = coboundary_matrix(rho, 2)
     c2_size = d1.nrows
-    z2_rho = Subspace.span(d2.cols, d2.kernel_basis())
+    z2_rho = d2.null_space()
     b2_rho = Subspace.span(c2_size, [d1.col(j) for j in range(d1.cols)])
     sym = symmetric_one_cochains(n)
     cyc = cyclic_condition_subspace(h)

@@ -23,6 +23,7 @@ from .exactla import (
     derive_form,
     invariance_rows,
     is_zero_vec,
+    null_space,
     q,
     vadd,
     vec,
@@ -303,8 +304,7 @@ def ascending_central_series(g: LieAlgebra) -> SeriesChain:
     terms = [Subspace.zero(g.dim)]
     while True:
         cur = terms[-1]
-        nxt = Subspace.from_integer_rows(
-            g.dim, invariance_rows(g.integer_constants[1], cur)).annihilator()
+        nxt = null_space(invariance_rows(g.integer_constants[1], cur), g.dim)
         if nxt == cur:
             break
         terms.append(nxt)
@@ -357,7 +357,7 @@ def killing_radical(g: LieAlgebra) -> Subspace:
     ads = [{(s, t): c for t in range(n) for s, c in nz[i][t]} for i in range(n)]
     rows = [[sum(c * ads[j].get((t, s), 0) for (s, t), c in ads[i].items()) for j in range(n)]
             for i in range(n)]
-    return Subspace.from_integer_rows(n, rows).annihilator()
+    return null_space(rows, n)
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
@@ -375,7 +375,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
                     for k, c in nz[i][j]:
                         block[k][i] += x * c
         rows += block
-    return Subspace.from_integer_rows(n, rows).annihilator()
+    return null_space(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +581,7 @@ def cohomology_space(rep: Representation, degree: int) -> CohomologySpace:
         raise ValidationError("cohomology implemented for degrees 1 and 2")
     d_up = coboundary_matrix(rep, degree)
     d_down = coboundary_matrix(rep, degree - 1)
-    z = Subspace.span(d_up.cols, d_up.kernel_basis())
+    z = d_up.null_space()
     b = Subspace.span(d_down.nrows, [d_down.col(j) for j in range(d_down.cols)]) \
         if d_down.cols else Subspace.zero(d_up.cols)
     if not z.contains(b):
@@ -605,12 +605,13 @@ def is_derivation(g: LieAlgebra, phi: Matrix) -> bool:
 
 
 def derivation_algebra(g: LieAlgebra) -> Subspace:
-    """Derivations as a subspace of End(g), row-major flattened coordinates."""
-    n, nz = g.dim, g.nonzero
+    """Derivations as a subspace of End(g), row-major flattened coordinates;
+    the conditions are linear in the constants, so they are taken over d·c."""
+    n, nz = g.dim, g.integer_constants[1]
     rows = []
     for i, j in itertools.combinations(range(n), 2):
         # row k: coefficients of the phi_{a,b} in (phi [e_i,e_j] - [phi e_i, e_j] - [e_i, phi e_j])_k
-        block = [[Q(0)] * (n * n) for _ in range(n)]
+        block = [[0] * (n * n) for _ in range(n)]
         for l, c in nz[i][j]:
             for k in range(n):
                 block[k][k * n + l] += c
@@ -620,10 +621,8 @@ def derivation_algebra(g: LieAlgebra) -> Subspace:
                 block[k][l * n + i] -= c
             for k, c in nz[i][l]:
                 block[k][l * n + j] -= c
-        rows += map(tuple, block)
-    if not rows:
-        return Subspace.full(n * n)
-    return Subspace.span(n * n, Matrix(tuple(rows), n * n).kernel_basis())
+        rows += block
+    return null_space(rows, n * n)
 
 
 def matrix_from_flat(flat: Vec, n: int) -> Matrix:

@@ -166,7 +166,7 @@ def recover_oxidation_data(
     xi = tuple(x / pairing for x in xi)
     n = g.dim
     constraints = Matrix((s.omega.matvec(xi), s.omega.matvec(h)), n)
-    w_rows = Subspace.span(n, constraints.kernel_basis()).rows
+    w_rows = constraints.null_space().rows
     m = n - 2
     if len(w_rows) != m:
         raise ValidationError("omega(., xi) and omega(., H) must be independent")

@@ -297,8 +297,7 @@ def _q6_reduction_blocks(s: SymplecticLieAlgebra) -> bool:
     if not (x.mul(x).is_zero() and y.mul(y).is_zero()
             and x.mul(y).is_zero() and y.mul(x).is_zero()):
         return False
-    kernel = Subspace.span(6, Matrix(x.rows, 6).kernel_basis()).intersect(
-        Subspace.span(6, Matrix(y.rows, 6).kernel_basis()))
+    kernel = Matrix(x.rows + y.rows, 6).null_space()  # ker X ∩ ker Y
     u_basis = extend_basis(kernel, [vunit(6, i) for i in range(6)])
     if len(u_basis) != 2:
         return False

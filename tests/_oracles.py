@@ -11,6 +11,10 @@ the current one must dominate; and the invariant-subspace trap without its
 exit on nilpotent algebras; and the Fraction ω-orthogonal (one ``matvec``
 per row, then a Fraction kernel) and the isotropy report built from it by
 containment and intersection, to check the integer Gram matrix against.
+Every kernel and intersection here is the Fraction one: ``kernel_oracle``
+(free variables set to 1, read off the reduced rows) and
+``intersect_oracle`` (the kernel of [A^T | -B^T]), so no oracle runs the
+integer null space it checks.
 
 ``evaluate_oracle`` evaluates a cochain on vectors through determinants of
 minors; the derived-form oracles loop over basis pairs and evaluate the form
@@ -40,6 +44,7 @@ from sympla.exactla import (
     Q,
     Subspace,
     Vec,
+    combine,
     rational_sqrt,
     solve_linear,
     vec,
@@ -183,12 +188,35 @@ def derived_series_oracle(g: LieAlgebra) -> SeriesChain:
     return SeriesChain("derived", tuple(terms))
 
 
+def kernel_oracle(m: Matrix) -> tuple[Vec, ...]:
+    """The canonical basis of the right null space from the Fraction RREF:
+    one vector per free column f, 1 at f and minus the reduced rows' entries
+    in column f at the pivots."""
+    red, pivots = m.rref()
+    basis = []
+    for f in range(m.cols):
+        if f not in pivots:
+            v = [Q(0)] * m.cols
+            v[f] = Q(1)
+            for r, p in enumerate(pivots):
+                v[p] = -red.rows[r][f]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def intersect_oracle(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B as the Fraction kernel of [A^T | -B^T]: x = u^T A = v^T B."""
+    if a.ambient != b.ambient:
+        raise DimensionMismatch("ambient dimension mismatch")
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient)
+    rows = [tuple(r[t] for r in a.rows) + tuple(-r[t] for r in b.rows) for t in range(a.ambient)]
+    kernel = kernel_oracle(Matrix(tuple(rows), a.dim + b.dim))
+    return Subspace.span(a.ambient, [combine(u[: a.dim], a.rows, a.ambient) for u in kernel])
+
+
 def _quotient_functionals(n: int, sub: Subspace) -> list[Vec]:
-    if sub.dim == n:
-        return []
-    if not sub.rows:
-        return [vunit(n, i) for i in range(n)]
-    return list(Matrix(sub.rows, n).kernel_basis())
+    return list(kernel_oracle(Matrix(sub.rows, n)))
 
 
 def ascending_central_series_oracle(g: LieAlgebra) -> SeriesChain:
@@ -204,7 +232,7 @@ def ascending_central_series_oracle(g: LieAlgebra) -> SeriesChain:
         if not rows:
             nxt = Subspace.full(g.dim)
         else:
-            nxt = Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
+            nxt = Subspace.span(g.dim, kernel_oracle(Matrix(tuple(rows), g.dim)))
         if nxt == cur:
             break
         terms.append(nxt)
@@ -220,7 +248,7 @@ def centralizer_oracle(g: LieAlgebra, s: Subspace) -> Subspace:
     for x in s.rows:
         m = g.ad(x).neg()  # [v, x] = -ad(x) v
         stacked = m if stacked is None else stacked.stack(m)
-    return Subspace.span(g.dim, stacked.kernel_basis())
+    return Subspace.span(g.dim, kernel_oracle(stacked))
 
 
 def center_oracle(g: LieAlgebra) -> Subspace:
@@ -246,7 +274,7 @@ def killing_radical_oracle(g: LieAlgebra) -> Subspace:
         return acc
 
     rows = [tuple(trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)]
-    return Subspace.span(g.dim, Matrix(tuple(rows), g.dim).kernel_basis())
+    return Subspace.span(g.dim, kernel_oracle(Matrix(tuple(rows), g.dim)))
 
 
 def jacobi_defect_oracle(g: LieAlgebra, i: int, j: int, k: int) -> Vec:
@@ -521,7 +549,7 @@ def omega_orthogonal_oracle(s: SymplecticLieAlgebra, w: Subspace) -> Subspace:
     if w.dim == 0:
         return Subspace.full(w.ambient)
     rows = tuple(s.omega.matvec(x) for x in w.rows)
-    return Subspace.span(w.ambient, Matrix(rows, w.ambient).kernel_basis())
+    return Subspace.span(w.ambient, kernel_oracle(Matrix(rows, w.ambient)))
 
 
 def isotropy_report_oracle(s: SymplecticLieAlgebra, w: Subspace) -> tuple:
@@ -530,4 +558,4 @@ def isotropy_report_oracle(s: SymplecticLieAlgebra, w: Subspace) -> tuple:
     isotropic = perp.contains(w)
     corank = (perp.dim - w.dim) // 2 if isotropic else None
     return (isotropic, w.contains(perp), isotropic and corank == 0,
-            w.intersect(perp).is_zero(), corank)
+            intersect_oracle(w, perp).is_zero(), corank)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from _oracles import kernel_oracle
 from sympla.exactla import Matrix, Q, Subspace, vunit
 from sympla.liealg import (
     Cochain,
@@ -145,7 +146,7 @@ def random_nilpotent_symplectic(rng: random.Random, n: int) -> SymplecticLieAlge
     g = LieAlgebra.from_brackets(n, brackets)
     if nilpotency_class(g) not in (2, 3) or not validate_jacobi(g).ok:
         return None
-    z2 = coboundary_matrix(trivial_rep(g), 2).kernel_basis()
+    z2 = kernel_oracle(coboundary_matrix(trivial_rep(g), 2))
     for _ in range(4):
         coords = [Q0] * len(z2[0])
         for z in z2:
@@ -279,7 +280,7 @@ def beta_kernel_pair(rng: random.Random, n: int) -> tuple[Matrix, Matrix] | None
                     if x and y and a != b:
                         row[idx[(min(a, b), max(a, b))]] += c * x * y if a < b else -c * x * y
         conditions.append(tuple(row))
-    kernel = Matrix(tuple(conditions), len(pairs)).kernel_basis()
+    kernel = kernel_oracle(Matrix(tuple(conditions), len(pairs)))
     if not kernel:
         return None
     coords = [Q0] * len(pairs)

@@ -261,7 +261,7 @@ def test_criterion_7_lagrangian_extension_suite():
     h = flat.algebra
     rho = dual_rep(flat)
     d2 = coboundary_matrix(rho, 2)
-    z2 = Subspace.span(d2.cols, d2.kernel_basis())
+    z2 = d2.null_space()
     cyc = cyclic_condition_subspace(h)
     compliant_space = z2.intersect(cyc)
     compliant = non_compliant = 0

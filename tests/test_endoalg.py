@@ -68,7 +68,7 @@ def test_basic_properties_of_quadratic_solutions():
             continue
         checked += 1
         alpha_mat = two_form_as_matrix(data.alpha)
-        ker_alpha = Subspace.span(n, alpha_mat.kernel_basis())
+        ker_alpha = alpha_mat.null_space()
         for r in ker_alpha.rows:
             assert ker_alpha.contains_vector(phi.matvec(r))
         # phi skew with respect to alpha
@@ -78,14 +78,14 @@ def test_basic_properties_of_quadratic_solutions():
                 lhs = evaluate_oracle(data.alpha, phi.matvec(ei), ej)[0] \
                     + evaluate_oracle(data.alpha, ei, phi.matvec(ej))[0]
                 assert lhs == 0
-        ker_phi = Subspace.span(n, phi.kernel_basis())
+        ker_phi = phi.null_space()
         joint = ker_alpha.intersect(ker_phi)
         image = Subspace.span(n, [phi.col(j) for j in range(n)])
         for u in image.rows:
             for z in joint.rows:
                 assert space.pair(u, z) == 0
             for z in joint.rows:
-                zperp = Subspace.span(n, Matrix((space.omega.matvec(z),), n).kernel_basis())
+                zperp = Matrix((space.omega.matvec(z),), n).null_space()
                 for r in zperp.rows:
                     assert zperp.contains_vector(phi.matvec(r))
         # (im phi)^perp cap ker phi inside ker alpha

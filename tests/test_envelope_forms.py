@@ -24,6 +24,7 @@ from _oracles import (
     double_bracket_oracle,
     envelope_witnesses_oracle,
     hessian_oracle,
+    kernel_oracle,
     poly_var,
     semidefinite_oracle,
 )
@@ -94,8 +95,7 @@ def oracle_verifies(s: SymplecticLieAlgebra, m: Subspace, pairs) -> bool:
         if not semidefinite_oracle(hessian.rows):
             return False
         rows.extend(hessian.rows)
-    kernel = Matrix.from_rows(rows, n).kernel_basis() if rows else \
-        tuple(vunit(n, a) for a in range(n))
+    kernel = kernel_oracle(Matrix.from_rows(rows, n))
     return all(m.contains_vector(v) for v in kernel)
 
 

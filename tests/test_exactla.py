@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import intersect_oracle, kernel_oracle
 from _samplers import matrices, sparse_rationals, wide_rationals
 from sympla import exactla
 from sympla.exactla import (
@@ -20,7 +21,6 @@ from sympla.exactla import (
     rational_roots,
     rational_sqrt,
     solve_linear,
-    subspace_relate,
     vunit,
     charpoly,
 )
@@ -78,20 +78,18 @@ def test_rref_idempotent_and_order_independent():
     assert Subspace.span(4, a.rows) == a
 
 
-def test_relate_equal_subspaces():
+def test_intersect_sum_and_contains_of_equal_subspaces():
     a = Subspace.span(3, [(1, 2, 0), (0, 0, 1)])
-    rel = subspace_relate(a, a)
-    assert rel.intersection == a == rel.sum
-    assert rel.a_contains_b and rel.b_contains_a
+    assert a.intersect(a) == a == a.sum(a)
+    assert a.contains(a)
 
 
-def test_relate_complementary_lines():
+def test_intersect_sum_and_contains_of_complementary_lines():
     a = Subspace.span(2, [(1, 0)])
     b = Subspace.span(2, [(0, 1)])
-    rel = subspace_relate(a, b)
-    assert rel.intersection.is_zero()
-    assert rel.sum == Subspace.full(2)
-    assert not rel.a_contains_b and not rel.b_contains_a
+    assert a.intersect(b).is_zero()
+    assert a.sum(b) == Subspace.full(2)
+    assert not a.contains(b) and not b.contains(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,8 +97,7 @@ def test_relate_complementary_lines():
 def test_dimension_formula(rows_a, rows_b):
     a = Subspace.span(6, rows_a)
     b = Subspace.span(6, rows_b)
-    rel = subspace_relate(a, b)
-    assert rel.sum.dim + rel.intersection.dim == a.dim + b.dim
+    assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
 
 
 def test_solve_identity():
@@ -270,6 +267,10 @@ def all_fractions(rows) -> bool:
     return all(type(x) is Fraction for r in rows for x in r)
 
 
+def null_space_oracle(m: Matrix) -> Subspace:
+    return Subspace.span(m.cols, kernel_oracle(m))
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_span_and_kernel_match_the_oracle(m):
@@ -279,9 +280,27 @@ def test_rref_span_and_kernel_match_the_oracle(m):
     span = Subspace.span(m.cols, m.rows)
     assert span == with_oracle(Subspace.span, m.cols, m.rows)
     assert all_fractions(span.rows)
-    kernel = m.kernel_basis()
-    assert kernel == with_oracle(m.kernel_basis)
-    assert all_fractions(kernel)
+    kernel = m.null_space()
+    assert kernel == with_oracle(null_space_oracle, m)
+    assert all_fractions(kernel.rows)
+    assert Subspace.span(m.cols, m.rows).annihilator() == kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.shared(st.integers(0, 7), key="cols").flatmap(
+    lambda n: st.tuples(*[matrices(ncols=st.just(n))] * 3)))
+def test_intersect_matches_the_oracle(ms):
+    """Subspaces sharing the span of a third matrix, so that intersections
+    of every dimension occur, zero subspaces and 0 columns included."""
+    a, b, c = ms
+    n = a.cols
+    sa, sb = Subspace.span(n, a.rows + c.rows), Subspace.span(n, b.rows + c.rows)
+    for x, y in ((sa, sb), (sa, Subspace.span(n, a.rows)), (sa, Subspace.zero(n)),
+                 (Subspace.full(n), sb)):
+        inter = x.intersect(y)
+        assert inter == with_oracle(intersect_oracle, x, y) == y.intersect(x)
+        assert all_fractions(inter.rows)
+        assert x.contains(inter) and y.contains(inter)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,6 +312,7 @@ def test_solve_linear_matches_the_oracle(m, data):
     for rhs in (consistent, arbitrary):
         res = solve_linear(m, rhs)
         assert res == with_oracle(solve_linear, m, rhs)
+        assert res.kernel == with_oracle(null_space_oracle, m)
         if res.particular is not None:
             assert all_fractions([res.particular]) and m.matvec(res.particular) == tuple(rhs)
     # a zero row with a nonzero right-hand side is never solvable
@@ -349,5 +369,5 @@ def test_rref_of_degenerate_shapes():
     assert Matrix((), 4).rref() == (Matrix((), 4), ())
     empty_rows = Matrix(((), (), ()), 0)
     assert empty_rows.rref() == (empty_rows, ())
-    assert empty_rows.kernel_basis() == ()
-    assert Matrix((), 3).kernel_basis() == (vunit(3, 0), vunit(3, 1), vunit(3, 2))
+    assert empty_rows.null_space() == Subspace.zero(0)
+    assert Matrix((), 3).null_space() == Subspace.full(3)

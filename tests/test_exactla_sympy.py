@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _samplers import matrices, sparse_rationals, wide_rationals
-from sympla.exactla import Matrix, charpoly, rational_roots
+from sympla.exactla import Matrix, Subspace, charpoly, rational_roots
 
 sympy = pytest.importorskip("sympy")
 
@@ -31,8 +31,8 @@ def test_rref_and_nullspace_match_sympy(m):
     sred, spivots = to_sympy(m).rref()
     assert red.rows == rows_of(sred)
     assert pivots == tuple(spivots)
-    null = tuple(tuple(from_sympy(x) for x in v) for v in to_sympy(m).nullspace())
-    assert m.kernel_basis() == null
+    null = [[from_sympy(x) for x in v] for v in to_sympy(m).nullspace()]
+    assert m.null_space() == Subspace.span(m.cols, null)
 
 
 square = st.shared(st.integers(1, 5), key="side")

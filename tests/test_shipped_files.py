@@ -216,3 +216,43 @@ def test_isotropy_is_read_from_the_integer_gram_matrix():
     assert not _called_names("symplectic.py", "isotropy_report") & {
         "omega_orthogonal", "orthogonal_complement", "intersect"}
     assert "omega_orthogonal" not in _called_names("search.py", "_enumerate_cached")
+
+
+def _call_name(node: ast.AST) -> str | None:
+    """f for a call ``f(...)`` or ``x.f(...)``, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def test_every_kernel_goes_through_one_integer_null_space():
+    """No Fraction kernel is left: ``_null_basis`` is gone, and
+    ``kernel_basis`` is only defined (as ``Matrix.kernel_basis``, the rows of
+    ``Matrix.null_space``, which the benchmark's tracer patches by name) and
+    read nowhere; the span of an integer kernel,
+    ``from_integer_rows(…, integer_kernel(…))``, is written only in
+    ``exactla.null_space``; and ``integer_kernel`` is called only in
+    ``exactla`` and ``symplectic`` (the Gram rank and the isotropic part)."""
+    gone = {"kernel_basis", "_null_basis"}
+    names, defined, spans, callers = [], [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {id(node): fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id in gone
+                    or isinstance(node, ast.Attribute) and node.attr in gone):
+                names.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name in gone:
+                defined.append((path.name, node.name))
+            if _call_name(node) == "integer_kernel":
+                callers.add(path.stem)
+            if _call_name(node) == "from_integer_rows" \
+                    and any(_call_name(arg) == "integer_kernel" for arg in node.args):
+                spans.append((path.name, enclosing.get(id(node))))
+    assert names == []
+    assert defined == [("exactla.py", "kernel_basis")]
+    assert spans == [("exactla.py", "null_space")]
+    assert callers <= {"exactla", "symplectic"}
